@@ -2,9 +2,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from sys import intern
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Clause:
     claim: str
     ok: bool
@@ -17,7 +18,9 @@ class Certificate:
     clauses: list[Clause] = field(default_factory=list)
 
     def check(self, claim: str, ok: bool, witness: str = "") -> bool:
-        self.clauses.append(Clause(claim, bool(ok), witness))
+        # claims and witnesses repeat across certificates; interning shares
+        # their text
+        self.clauses.append(Clause(intern(claim), bool(ok), intern(witness)))
         return bool(ok)
 
     @property
@@ -51,5 +54,6 @@ def merge(title: str, certs: list[Certificate]) -> Certificate:
     out = Certificate(title)
     for c in certs:
         for cl in c.clauses:
-            out.clauses.append(Clause(f"{c.title}: {cl.claim}", cl.ok, cl.witness))
+            out.clauses.append(
+                Clause(intern(f"{c.title}: {cl.claim}"), cl.ok, cl.witness))
     return out

@@ -391,6 +391,11 @@ def run(argv) -> tuple[int, str]:
     """Run one job; returns (exit status, report text)."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    for flag in ("conductor_cap", "group_cap", "cap"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 1:
+            return 2, (f"parse error: --{flag.replace('_', '-')} must be "
+                       f"positive, got {value}")
     cyclotomic.set_conductor_cap(args.conductor_cap)
     try:
         data = _HANDLERS[args.command](args)

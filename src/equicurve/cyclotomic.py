@@ -1,25 +1,28 @@
 """Exact arithmetic in Q and in the cyclotomic fields Q(zeta_m).
 
-A value is stored as its residue modulo the m-th cyclotomic polynomial, a
-dense tuple of ``phi(m)`` rationals in the power basis 1, zeta, ...,
-zeta^(phi(m)-1).  Reduction modulo the cyclotomic polynomial (rather than
-x^m - 1) makes equality of same-conductor values a tuple comparison.
+A value of Q(zeta_m) is its residue modulo the cyclotomic polynomial Phi_m
+in the power basis 1, zeta, ..., zeta^(phi(m)-1), stored as integer
+numerators over one shared denominator (FLINT's ``nf_elem`` layout) with
+``den > 0`` and ``gcd(content(nums), den) = 1``.  That form is unique per
+conductor, so same-conductor equality is a tuple comparison.  Arithmetic,
+inversion and subfield descent are integer-only; ``Fraction`` appears only
+where values enter or leave (construction, ``as_fraction``, ``key_under``,
+printing).
 
 Conductors are kept normalized: m = 2 mod 4 never occurs, since
 Q(zeta_2k) = Q(zeta_k) for odd k.  Mixed-conductor arithmetic unifies into
 Q(zeta_lcm) automatically; growth past a configurable degree cap raises
-:class:`ConductorCapError`.
+:class:`ConductorCapError`.  The stored conductor is the one the arithmetic
+produced.  ``reduced()`` finds the minimal one lazily, and ``hash`` uses it,
+so equal values hash equal across conductors.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from .errors import ConductorCapError
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 _conductor_cap = 256
 
@@ -30,10 +33,6 @@ def set_conductor_cap(max_degree: int) -> None:
     if max_degree < 1:
         raise ValueError("conductor cap must be positive")
     _conductor_cap = max_degree
-
-
-def get_conductor_cap() -> int:
-    return _conductor_cap
 
 
 def _check_cap(m: int) -> None:
@@ -83,7 +82,8 @@ def _int_poly_div(num: list[int], den: list[int]) -> list[int]:
             out[i - dd] = c
             for j, dj in enumerate(den):
                 num[i - dd + j] -= c * dj
-    assert all(c == 0 for c in num)
+    if any(num):
+        raise ArithmeticError("integer polynomial division is not exact")
     return out
 
 
@@ -115,113 +115,86 @@ def _power_vector(m: int, e: int) -> tuple[int, ...]:
     return tuple(shifted)
 
 
-def _reduce_coeffs(m: int, raw: list[Fraction]) -> tuple[Fraction, ...]:
-    phi = euler_phi(m)
-    out = list(raw[:phi]) + [_ZERO] * (phi - min(phi, len(raw)))
-    for e in range(phi, len(raw)):
-        c = raw[e]
-        if c:
-            vec = _power_vector(m, e)
-            for j in range(phi):
-                if vec[j]:
-                    out[j] += c * vec[j]
-    return tuple(out)
+def _sparse(vec) -> tuple[tuple[int, int], ...]:
+    return tuple((j, v) for j, v in enumerate(vec) if v)
 
 
 @lru_cache(maxsize=None)
-def _embed_vectors(m: int, big: int) -> tuple[tuple[int, ...], ...]:
-    step = big // m
-    return tuple(_power_vector(big, i * step) for i in range(euler_phi(m)))
+def _power_rows(m: int, step: int, count: int, start: int = 0) -> tuple:
+    """x^(start + i*step) mod Phi_m for i < count, as sparse (index, coeff) rows.
+
+    These rows reduce a product (start = phi(m), step 1), embed Q(zeta_m')
+    into Q(zeta_m) (step m/m') and apply the automorphism zeta -> zeta^step.
+    """
+    return tuple(_sparse(_power_vector(m, start + i * step)) for i in range(count))
 
 
-def _embed(c: tuple[Fraction, ...], m: int, big: int) -> tuple[Fraction, ...]:
+def _lincomb(coeffs, rows, out: list[int]) -> list[int]:
+    """Add sum_i coeffs[i] * rows[i] into ``out``; rows from ``_power_rows``."""
+    for c, row in zip(coeffs, rows):
+        if c:
+            for j, v in row:
+                out[j] += c * v
+    return out
+
+
+def _embed(nums: tuple[int, ...], m: int, big: int) -> tuple[int, ...]:
     if m == big:
-        return c
+        return nums
     _check_cap(big)
-    vecs = _embed_vectors(m, big)
-    out = [_ZERO] * euler_phi(big)
-    for i, ci in enumerate(c):
-        if ci:
-            vec = vecs[i]
-            for j in range(len(out)):
-                if vec[j]:
-                    out[j] += ci * vec[j]
-    return tuple(out)
+    if m == 1:
+        return nums + (0,) * (euler_phi(big) - 1)
+    return tuple(_lincomb(nums, _power_rows(big, big // m, len(nums)),
+                          [0] * euler_phi(big)))
 
 
-# ---------------------------------------------------------------------------
-# small helpers on Fraction polynomials (used for inversion and descent)
-
-def _fpoly_divmod(a: list[Fraction], b: list[Fraction]):
-    a = list(a)
-    db = len(b) - 1
-    while b and not b[-1]:
-        b = b[:-1]
-        db -= 1
-    q = [_ZERO] * max(0, len(a) - db)
-    inv_lead = 1 / b[db]
-    for i in range(len(a) - 1, db - 1, -1):
-        if a[i]:
-            f = a[i] * inv_lead
-            q[i - db] = f
-            for j in range(db + 1):
-                a[i - db + j] -= f * b[j]
-    while a and not a[-1]:
-        a.pop()
-    return q, a
+def _mul_nums(m: int, a, b) -> list[int]:
+    """Product of two numerator vectors of Q(zeta_m), reduced mod Phi_m."""
+    phi = len(a)
+    if phi == 2:
+        # Phi_m = x^2 + p x + q
+        q, p, _ = cyclotomic_polynomial(m)
+        t = a[1] * b[1]
+        return [a[0] * b[0] - q * t, a[0] * b[1] + a[1] * b[0] - p * t]
+    raw = [0] * (2 * phi - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for k, bj in enumerate(b, i):
+                raw[k] += ai * bj
+    return _lincomb(raw[phi:], _power_rows(m, 1, phi - 1, phi), raw[:phi])
 
 
-def _fpoly_xgcd(a: list[Fraction], b: list[Fraction]):
-    # returns (g, u) with u*a = g mod b, g the gcd of a and b
-    r0, r1 = list(a), list(b)
-    u0, u1 = [_ONE], []
-    while r1:
-        q, r = _fpoly_divmod(r0, r1)
-        r0, r1 = r1, r
-        # u0 - q*u1
-        prod = [_ZERO] * (len(q) + len(u1) - 1 if q and u1 else 0)
-        for i, qi in enumerate(q):
-            if qi:
-                for j, uj in enumerate(u1):
-                    prod[i + j] += qi * uj
-        nxt = [_ZERO] * max(len(u0), len(prod))
-        for i, c in enumerate(u0):
-            nxt[i] += c
-        for i, c in enumerate(prod):
-            nxt[i] -= c
-        while nxt and not nxt[-1]:
-            nxt.pop()
-        u0, u1 = u1, nxt
-    return r0, u0
+def _normal(m: int, nums, den: int) -> "CycNum":
+    g = gcd(*nums, den)
+    if den < 0:
+        g = -g
+    if g != 1:
+        nums = [v // g for v in nums]
+        den //= g
+    if m == 1:
+        return _rational(nums[0], den)
+    return _make(m, tuple(nums), den)
 
 
 class CycNum:
     """Exact element of a cyclotomic field Q(zeta_m).
 
-    Immutable; all arithmetic is pure and may be shared freely between
-    threads.  Mixing conductors unifies into the least common one.
+    ``m`` is the stored conductor, ``nums`` the integer numerators of the
+    power-basis coefficients and ``den`` their shared positive denominator,
+    coprime to the content of ``nums``.  Immutable; mixing conductors
+    unifies into the least common one.  Values that are equal hash equal
+    whatever their stored conductor: the hash is taken of the form over the
+    minimal conductor, and of the ``Fraction`` for a rational value.
     """
 
-    __slots__ = ("m", "c")
+    __slots__ = ("m", "nums", "den")
 
-    def __init__(self, value=0):
-        if isinstance(value, CycNum):
-            object.__setattr__(self, "m", value.m)
-            object.__setattr__(self, "c", value.c)
-            return
-        q = Fraction(value)
-        object.__setattr__(self, "m", 1)
-        object.__setattr__(self, "c", (q,))
+    def __new__(cls, value=0):
+        v = cls._coerce(value)
+        return v if v is not None else cls._coerce(Fraction(value))
 
     def __setattr__(self, *a):  # pragma: no cover
         raise AttributeError("CycNum is immutable")
-
-    @staticmethod
-    def _make(m: int, coeffs: tuple[Fraction, ...]) -> "CycNum":
-        self = object.__new__(CycNum)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "c", coeffs)
-        return self
 
     @staticmethod
     def from_coeffs(m: int, coeffs) -> "CycNum":
@@ -231,21 +204,22 @@ class CycNum:
         cs = [Fraction(v) for v in coeffs]
         if len(cs) > euler_phi(m):
             raise ValueError(f"expected at most {euler_phi(m)} coefficients")
-        cs += [_ZERO] * (euler_phi(m) - len(cs))
-        return CycNum._make(m, tuple(cs))
+        den = lcm(*(q.denominator for q in cs))
+        nums = [q.numerator * (den // q.denominator) for q in cs]
+        return _normal(m, nums + [0] * (euler_phi(m) - len(cs)), den)
 
     # -- predicates ---------------------------------------------------------
 
     def __bool__(self) -> bool:
-        return any(self.c)
+        return any(self.nums)
 
     def is_rational(self) -> bool:
-        return not any(self.c[1:])
+        return not any(self.nums[1:])
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self.c[0]
+        return Fraction(self.nums[0], self.den)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -253,31 +227,44 @@ class CycNum:
     def _coerce(v):
         if isinstance(v, CycNum):
             return v
-        if isinstance(v, (int, Fraction)):
-            return CycNum(v)
+        if isinstance(v, int):
+            return _rational(v)
+        if isinstance(v, Fraction):
+            return _rational(v.numerator, v.denominator)
         return None
 
     def _with(self, other: "CycNum"):
         if self.m == other.m:
-            return self.m, self.c, other.c
-        big = self.m * other.m // gcd(self.m, other.m)
-        return big, _embed(self.c, self.m, big), _embed(other.c, other.m, big)
+            return self.m, self.nums, other.nums
+        big = lcm(self.m, other.m)
+        return big, _embed(self.nums, self.m, big), _embed(other.nums, other.m, big)
 
-    def __add__(self, other):
-        o = self._coerce(other)
+    def _plus(self, other, sign: int):
+        o = other if type(other) is CycNum else self._coerce(other)
         if o is None:
             return NotImplemented
+        # adding zero keeps a value and its conductor unless lcm grows it
+        if not any(o.nums) and self.m % o.m == 0:
+            return self
+        if sign > 0 and not any(self.nums) and o.m % self.m == 0:
+            return o
         m, a, b = self._with(o)
-        return CycNum._make(m, tuple(x + y for x, y in zip(a, b)))
+        da, db = self.den, o.den
+        if da == db:
+            nums = [x + y for x, y in zip(a, b)] if sign > 0 else \
+                [x - y for x, y in zip(a, b)]
+            return _normal(m, nums, da)
+        g = gcd(da, db)
+        sa, sb = db // g, sign * (da // g)
+        return _normal(m, [x * sa + y * sb for x, y in zip(a, b)], da * sa)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        m, a, b = self._with(o)
-        return CycNum._make(m, tuple(x - y for x, y in zip(a, b)))
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -286,51 +273,50 @@ class CycNum:
         return o - self
 
     def __neg__(self):
-        return CycNum._make(self.m, tuple(-x for x in self.c))
+        return _make(self.m, tuple(-x for x in self.nums), self.den)
 
     def __mul__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is CycNum else self._coerce(other)
         if o is None:
             return NotImplemented
-        if o.is_rational():
-            q = o.c[0]
-            if not q:
-                return CycNum(0)
-            return CycNum._make(self.m, tuple(x * q for x in self.c))
-        if self.is_rational():
-            q = self.c[0]
-            if not q:
-                return CycNum(0)
-            return CycNum._make(o.m, tuple(x * q for x in o.c))
-        m, a, b = self._with(o)
-        raw = [_ZERO] * (2 * len(a) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        raw[i + j] += ai * bj
-        return CycNum._make(m, _reduce_coeffs(m, raw))
+        if not any(o.nums[1:]):
+            a, q = self, o
+        elif not any(self.nums[1:]):
+            a, q = o, self
+        else:
+            m, a, b = self._with(o)
+            return _normal(m, _mul_nums(m, a, b), self.den * o.den)
+        p = q.nums[0]
+        if not p:
+            return _rational(0)
+        if p == 1 == q.den:
+            return a
+        return _normal(a.m, [x * p for x in a.nums], a.den * q.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CycNum":
-        if not self:
+        m, nums, den = self.m, self.nums, self.den
+        if not any(nums):
             raise ZeroDivisionError("inverse of zero")
-        if self.is_rational():
-            return CycNum._make(1, (1 / self.c[0],))
-        if len(self.c) == 2:
+        if not any(nums[1:]):
+            n = nums[0]
+            return _rational(den if n > 0 else -den, abs(n))
+        if len(nums) == 2:
             # degree-2 field: conjugate over Phi = x^2 + p x + q
-            phim = cyclotomic_polynomial(self.m)
-            q, p = phim[0], phim[1]
-            a, b = self.c
+            q, p, _ = cyclotomic_polynomial(m)
+            a, b = nums
             norm = a * a - a * b * p + b * b * q
-            return CycNum._make(self.m, ((a - b * p) / norm, -b / norm))
-        phim = [Fraction(v) for v in cyclotomic_polynomial(self.m)]
-        g, u = _fpoly_xgcd(list(self.c), phim)
-        # g is a nonzero constant since Phi_m is irreducible
-        scale = 1 / g[0]
-        inv = [ci * scale for ci in u]
-        return CycNum._make(self.m, _reduce_coeffs(self.m, inv))
+            return _normal(m, ((a - b * p) * den, -b * den), norm)
+        # 1/x = (product of the other Galois conjugates) / N(x), N(x) in Z
+        phi = len(nums)
+        conj = None
+        for k in range(2, m):
+            if gcd(k, m) == 1:
+                s = _lincomb(nums, _power_rows(m, k, phi), [0] * phi)
+                conj = s if conj is None else _mul_nums(m, conj, s)
+        norm = _mul_nums(m, nums, conj)[0]
+        return _normal(m, [v * den for v in conj], norm)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -349,7 +335,7 @@ class CycNum:
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        out = CycNum(1)
+        out = _rational(1)
         base = self
         while n:
             if n & 1:
@@ -362,118 +348,134 @@ class CycNum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        # the normal form's denominator does not depend on the conductor
+        if self.den != o.den:
+            return False
         if self.m == o.m:
-            return self.c == o.c
+            return self.nums == o.nums
         _, a, b = self._with(o)
         return a == b
 
-    def __ne__(self, other):
-        r = self.__eq__(other)
-        return NotImplemented if r is NotImplemented else not r
-
-    __hash__ = None  # mixed-conductor equality makes hashing unsafe
+    def __hash__(self):
+        r = self.reduced()
+        return hash(Fraction(r.nums[0], r.den) if r.m == 1 else (r.m, r.nums, r.den))
 
     # -- structure ----------------------------------------------------------
 
     def as_monomial(self):
         """Return (q, k) with self = q * zeta_m^k and q rational, else None."""
         if self.is_rational():
-            return self.c[0], 0
+            return self.as_fraction(), 0
         for k in range(1, self.m):
             t = self * _root_in(self.m, self.m - k)
             if t.is_rational():
-                return t.c[0], k
+                return t.as_fraction(), k
         return None
 
     def key_under(self, big: int) -> tuple:
         """Coefficient tuple inside Q(zeta_big); for deterministic sorting."""
-        return _embed(self.c, self.m, big)
+        return tuple(Fraction(v, self.den) for v in _embed(self.nums, self.m, big))
 
     def embedded(self, big: int) -> "CycNum":
         """The same value rewritten over Q(zeta_big); big must be a multiple."""
         big = _normal_conductor(big)
         if big % self.m:
             raise ValueError(f"{big} is not a multiple of conductor {self.m}")
-        return CycNum._make(big, _embed(self.c, self.m, big))
+        return _make(big, _embed(self.nums, self.m, big), self.den)
 
     def reduced(self) -> "CycNum":
         """Rewrite over the smallest cyclotomic subfield containing the value."""
-        m, c = self.m, self.c
-        while m > 1:
-            if not any(c[1:]):
-                return CycNum._make(1, (c[0],))
+        x = self
+        while x.m > 1:
+            m = x.m
+            if not any(x.nums[1:]):
+                return _rational(x.nums[0], x.den)
             cands = {_normal_conductor(m // p) for p in _prime_factors(m)}
             cands.discard(m)
             if cands <= {1}:
                 break  # no proper subfield above Q; nothing to try
             for m2 in sorted(cands):
-                v = _descend(m, m2, c)
-                if v is not None:
-                    m, c = m2, v
+                solve, checks, scale = _descent_solver(m, m2)
+                c = x.nums
+                if not any(sum(v * c[j] for j, v in row) for row in checks):
+                    x = _normal(m2, [sum(v * c[j] for j, v in row)
+                                     for row in solve], scale * x.den)
                     break
             else:
                 break
-        return CycNum._make(m, c)
+        return x
 
     # -- output -------------------------------------------------------------
 
     def __str__(self) -> str:
         if self.is_rational():
-            return str(self.c[0])
-        return f"cyc({self.m}; " + ", ".join(str(x) for x in self.c) + ")"
+            return str(self.as_fraction())
+        return f"cyc({self.m}; " + ", ".join(
+            str(Fraction(v, self.den)) for v in self.nums) + ")"
 
     __repr__ = __str__
 
 
+_set_m = CycNum.m.__set__
+_set_nums = CycNum.nums.__set__
+_set_den = CycNum.den.__set__
+
+
+def _make(m: int, nums: tuple[int, ...], den: int) -> CycNum:
+    # trusted constructor: (nums, den) must already be in normal form
+    self = object.__new__(CycNum)
+    _set_m(self, m)
+    _set_nums(self, nums)
+    _set_den(self, den)
+    return self
+
+
+_UNITS = tuple(_make(1, (n,), 1) for n in (-1, 0, 1))
+
+
+def _rational(n: int, d: int = 1) -> CycNum:
+    # n/d in lowest terms; 0 and +-1, most entries of group elements, are shared
+    if d == 1 and -1 <= n <= 1:
+        return _UNITS[n + 1]
+    return _make(1, (n,), d)
+
+
 @lru_cache(maxsize=None)
 def _descent_solver(m: int, m2: int):
-    """Row-reduced data solving embed(m2->m) @ x = c for x, with consistency."""
-    cols = [[Fraction(v) for v in vec] for vec in _embed_vectors(m2, m)]
-    rows = euler_phi(m)
-    ncol = euler_phi(m2)
-    # augmented with identity to track row operations
-    mat = [[cols[j][i] for j in range(ncol)] for i in range(rows)]
-    ops = [[_ONE if i == j else _ZERO for j in range(rows)] for i in range(rows)]
-    piv = []
-    r = 0
+    """``(solve, checks, scale)``: numerators ``c`` of Q(zeta_m) lie in
+    Q(zeta_m2) iff every sparse ``checks`` row annihilates them; the subfield
+    numerators are then ``solve @ c`` over ``scale`` times the denominator.
+
+    Fraction-free Gauss-Jordan elimination of [E | I], the columns of E
+    embedding the power basis of Q(zeta_m2).
+    """
+    rows, ncol = euler_phi(m), euler_phi(m2)
+    emb = [_power_vector(m, j * (m // m2)) for j in range(ncol)]
+    aug = [[e[i] for e in emb] + [int(i == k) for k in range(rows)]
+           for i in range(rows)]
     for col in range(ncol):
-        sel = next((i for i in range(r, rows) if mat[i][col]), None)
-        if sel is None:
-            continue
-        mat[r], mat[sel] = mat[sel], mat[r]
-        ops[r], ops[sel] = ops[sel], ops[r]
-        inv = 1 / mat[r][col]
-        mat[r] = [v * inv for v in mat[r]]
-        ops[r] = [v * inv for v in ops[r]]
+        # the embedding is injective, so every column has a pivot
+        sel = next(i for i in range(col, rows) if aug[i][col])
+        aug[col], aug[sel] = aug[sel], aug[col]
+        piv = aug[col]
         for i in range(rows):
-            if i != r and mat[i][col]:
-                f = mat[i][col]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-                ops[i] = [a - f * b for a, b in zip(ops[i], ops[r])]
-        piv.append(col)
-        r += 1
-    return tuple(piv), tuple(tuple(row) for row in ops), r
-
-
-def _descend(m: int, m2: int, c: tuple[Fraction, ...]):
-    piv, ops, rank = _descent_solver(m, m2)
-    rows = len(ops)
-    tc = [sum((ops[i][j] * c[j] for j in range(rows) if c[j]), _ZERO)
-          for i in range(rows)]
-    if any(tc[rank:]):
-        return None
-    out = [_ZERO] * euler_phi(m2)
-    for i, col in enumerate(piv):
-        out[col] = tc[i]
-    return tuple(out)
+            f = aug[i][col]
+            if i != col and f:
+                row = [piv[col] * a - f * b for a, b in zip(aug[i], piv)]
+                g = gcd(*row)
+                aug[i] = [v // g for v in row]
+    scale = lcm(*(aug[i][i] for i in range(ncol)))
+    solve = tuple(_sparse([v * (scale // aug[i][i]) for v in aug[i][ncol:]])
+                  for i in range(ncol))
+    checks = tuple(_sparse(aug[i][ncol:]) for i in range(ncol, rows))
+    return solve, checks, scale
 
 
 # ---------------------------------------------------------------------------
 # roots of unity and bounded square roots
 
 def _root_in(m: int, e: int) -> CycNum:
-    vec = _power_vector(m, e % m)
-    return CycNum._make(m, tuple(Fraction(v) for v in vec))
+    return _make(m, _power_vector(m, e % m), 1)
 
 
 def root_of_unity(m: int, k: int = 1) -> CycNum:
@@ -485,16 +487,16 @@ def root_of_unity(m: int, k: int = 1) -> CycNum:
     order = m // g
     k = k // g
     if order == 1:
-        return CycNum(1)
+        return _rational(1)
     if order == 2:
-        return CycNum(-1)
+        return _rational(-1)
     if order % 4 == 2:
         # zeta_order = -zeta_(order/2)^((order/2 + 1)/2)
         half = order // 2
         sign = -1 if k % 2 else 1
         e = (k * ((half + 1) // 2)) % half
         v = _root_in(half, e)
-        return CycNum._make(half, tuple(sign * x for x in v.c))
+        return _make(half, tuple(sign * x for x in v.nums), 1)
     _check_cap(order)
     return _root_in(order, k)
 
@@ -580,11 +582,13 @@ def try_sqrt(a) -> CycNum | None:
             s = _sqrt_rational(q) * root
     except ConductorCapError:
         return None
-    assert s * s == a
+    if s * s != a:
+        raise ArithmeticError(f"square root self-check failed for {a}")
     if s.is_rational():
         return s if s.as_fraction() > 0 else -s
     s = s.reduced()
-    return s if s.c <= (-s).c else -s
+    # s and -s share one positive denominator, so numerators order them
+    return s if s.nums <= (-s).nums else -s
 
 
 def torsion_order(u: CycNum) -> int | None:
@@ -603,12 +607,5 @@ def torsion_order(u: CycNum) -> int | None:
 
 def as_cyc(v) -> CycNum:
     """Coerce an int, Fraction or CycNum into a CycNum."""
-    return v if isinstance(v, CycNum) else CycNum(v)
-
-
-def unify_keys(values) -> list[tuple]:
-    """Coefficient tuples of all values under one common conductor."""
-    big = 1
-    for v in values:
-        big = big * v.m // gcd(big, v.m)
-    return [v.key_under(big) for v in values]
+    o = CycNum._coerce(v)
+    return CycNum(v) if o is None else o

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .certificates import Certificate
 from .cyclotomic import CycNum, torsion_order
@@ -122,18 +123,12 @@ def invariant_power(p: HPoly2, G: FinSubgroupG):
             raise NotSemiInvariantError(
                 f"character value {chi} is not a root of unity")
         chis.append(chi)
-        d = d * order // _gcd(d, order)
+        d = lcm(d, order)
     P = p ** d
     for g in G.generators:
         if P.compose_matrix(g.entries()) != P:
             raise NotSemiInvariantError("p^d is not fixed by a generator")
     return d, chis
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def split_pair(P: HPoly2) -> EndoPair:

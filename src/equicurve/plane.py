@@ -15,6 +15,7 @@ g, the decision runs on the number of g-fixed points left on the curve:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import lcm
 
 from .certificates import Certificate
 from .cyclotomic import CycNum, as_cyc
@@ -98,10 +99,6 @@ class CurveAut:
 
 
 def _permutation_order(g: Moebius, pts: list[P1Point]) -> int:
-    def lcm(a, b):
-        from math import gcd
-        return a * b // gcd(a, b)
-
     seen = [False] * len(pts)
     out = 1
     for i in range(len(pts)):

@@ -372,8 +372,9 @@ def aut_of_lambda(points: list[P1Point], cap: int = 120,
 
     Each ordered triple of distinct points is a candidate image of one fixed
     base triple; three-point transitivity pins the map, set preservation
-    filters.  O(r^3) solves, fine for r <= 60.  ``base`` and ``reverse``
-    exist so tests can cross-check with an independent enumeration.
+    filters.  O(r^3) solves, fine for r <= 60.  More than ``cap`` maps
+    raise :class:`NotFiniteWithinCapError`.  ``base`` and ``reverse`` exist
+    so tests can cross-check with an independent enumeration.
     """
     pts = dedupe_points(points)
     if len(pts) < 3:
@@ -393,6 +394,9 @@ def aut_of_lambda(points: list[P1Point], cap: int = 120,
         g = Moebius(*_adj_mul(_triple_matrix(pts[i], pts[j], pts[k]), base_m))
         if all(point_key(g.apply(p), big) in keyset for p in pts):
             found.append(g)
+            if len(found) > cap:
+                raise NotFiniteWithinCapError(
+                    f"stabilizer exceeded cap {cap}")
     elements = sort_moebius(found)
     return FinSubgroupH(elements, minimal_generators(elements),
                         classify_group(elements))

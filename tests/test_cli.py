@@ -145,3 +145,21 @@ def test_conductor_cap_flag():
     assert "conductor" in text
     code, _ = run(["aut", "--lambda", "[cyc(8;0,1):1],[1:1],[0:1],[1:0]"])
     assert code == 0
+
+
+def test_nonpositive_caps_rejected_with_one_line():
+    for flag in ("--conductor-cap", "--group-cap"):
+        code, text = run(["aut", "--lambda", "[0:1],[1:1],[1:0],[2:1],[3:1]",
+                          flag, "0"])
+        assert code == 2
+        assert text == f"parse error: {flag} must be positive, got 0"
+    code, text = run(["planar-normalize", "--P", "x", "--Q", "1/x",
+                      "--R", "x + 1/x", "--cap", "-1"])
+    assert code == 2 and len(text.splitlines()) == 1
+
+
+def test_group_cap_enforced_by_stabilizer_search():
+    code, text = run(["aut", "--lambda", "[0:1],[1:1],[1:0],[2:1],[3:1]",
+                      "--group-cap", "1"])
+    assert code == 3
+    assert text == "construction error: stabilizer exceeded cap 1"

@@ -1,10 +1,14 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from equicurve import cyclotomic
 from equicurve.cyclotomic import (
     CycNum,
+    _int_poly_div,
     euler_phi,
     cyclotomic_polynomial,
     root_of_unity,
@@ -150,3 +154,110 @@ def test_textual_form_round_trip():
             root_of_unity(3) / 5]
     for v in vals:
         assert parse_constant(str(v)) == v
+
+
+def test_inexact_polynomial_division_raises():
+    # x^2 + 1 is not a multiple of x + 1; the check survives python -O
+    with pytest.raises(ArithmeticError):
+        _int_poly_div([1, 0, 1], [1, 1])
+
+
+def test_try_sqrt_self_check_raises(monkeypatch):
+    monkeypatch.setattr(cyclotomic, "_sqrt_rational", lambda q: CycNum(q))
+    with pytest.raises(ArithmeticError):
+        try_sqrt(CycNum(4))
+
+
+# -- properties of the integer-numerator layout --------------------------------
+
+CONDUCTORS = (1, 3, 4, 5, 8, 12, 20)
+PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
+coefficient = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+@st.composite
+def cyc_coeffs(draw, m=None):
+    m = draw(st.sampled_from(CONDUCTORS)) if m is None else m
+    n = euler_phi(m)
+    return m, draw(st.lists(coefficient, min_size=n, max_size=n))
+
+
+@st.composite
+def cycs(draw, m=None):
+    return CycNum.from_coeffs(*draw(cyc_coeffs(m)))
+
+
+def assert_normal(x):
+    assert len(x.nums) == euler_phi(x.m)
+    assert x.den > 0
+    assert gcd(*x.nums, x.den) == 1
+
+
+@PROPERTY
+@given(st.sampled_from(CONDUCTORS).flatmap(
+    lambda m: st.tuples(cycs(m), cycs(m), cycs(m))))
+def test_property_normal_form_and_field_axioms(abc):
+    a, b, c = abc
+    for v in (a, b, c, a + b, a - b, a * b, -a, a.reduced(), a.embedded(3 * a.m)):
+        assert_normal(v)
+    assert a + b == b + a and a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + 0 == a and a * 1 == a and a + (-a) == 0
+    if b:
+        assert_normal(b.inverse())
+        assert (a / b) * b == a
+
+
+@PROPERTY
+@given(cycs(), cycs())
+def test_property_mixed_conductors(a, b):
+    big = a.m * b.m // gcd(a.m, b.m)
+    assert a + b == a.embedded(big) + b.embedded(big)
+    assert a * b == a.embedded(big) * b.embedded(big)
+
+
+@PROPERTY
+@given(cycs())
+def test_property_inverse(x):
+    if x:
+        assert x * x.inverse() == 1
+
+
+@PROPERTY
+@given(cycs(), st.integers(min_value=1, max_value=6))
+def test_property_embedding_keeps_value_and_hash(x, k):
+    e = x.embedded(k * x.m)
+    assert_normal(e)
+    assert x == e and e == x
+    assert hash(x) == hash(e)
+
+
+@PROPERTY
+@given(cycs(), st.integers(min_value=1, max_value=4))
+def test_property_reduced_idempotent(x, k):
+    r = x.embedded(k * x.m).reduced()
+    assert r == x
+    assert r.m <= x.m
+    rr = r.reduced()
+    assert (rr.m, rr.nums, rr.den) == (r.m, r.nums, r.den)
+
+
+@PROPERTY
+@given(cyc_coeffs())
+def test_property_str_is_fraction_formatting(mc):
+    m, coeffs = mc
+    x = CycNum.from_coeffs(m, coeffs)
+    if not any(coeffs[1:]):
+        assert str(x) == str(coeffs[0])
+    else:
+        assert str(x) == f"cyc({m}; " + ", ".join(map(str, coeffs)) + ")"
+
+
+@PROPERTY
+@given(coefficient)
+def test_property_rational_hash(q):
+    assert hash(CycNum(q)) == hash(q)
+    assert hash(CycNum(q).embedded(12)) == hash(q)
+    assert hash(CycNum(q.numerator)) == hash(q.numerator)

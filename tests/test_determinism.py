@@ -19,10 +19,10 @@ JOBS = [
 ]
 
 
-def _run_with_seed(job, seed):
+def _run_with_seed(job, seed, *flags):
     env = dict(os.environ, PYTHONHASHSEED=str(seed))
     proc = subprocess.run(
-        [sys.executable, "-m", "equicurve.cli", *job],
+        [sys.executable, *flags, "-m", "equicurve.cli", *job],
         capture_output=True, env=env, timeout=300)
     return proc.returncode, proc.stdout
 
@@ -33,6 +33,12 @@ def test_reports_stable_under_hash_randomization():
         b = _run_with_seed(job, 4242)
         assert a == b, job
         assert a[0] == 0, job
+
+
+def test_reports_identical_under_python_optimize():
+    # python -O strips asserts; no check the reports depend on may live there
+    for job in JOBS[:2]:
+        assert _run_with_seed(job, 0, "-O") == _run_with_seed(job, 0), job
 
 
 def rand_cyc(rng, m):
