@@ -63,9 +63,10 @@ def _cmd_aut(args) -> dict:
     pts = _points(args.lam)
     h = aut_of_lambda(pts, cap=args.group_cap)
     cert = Certificate("stabilizer checks")
+    point_set = set(pts)
     for g in h.elements:
         cert.check(f"{g} preserves the set",
-                   all(any(g.apply(p) == q for q in pts) for p in pts))
+                   all(g.apply(p) in point_set for p in pts))
     return {
         "command": "aut",
         "lambda": [str(p) for p in sort_points(pts)],
@@ -279,9 +280,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("text", "json"), default="text")
         p.add_argument("--certificate", action="store_true",
                        help="print the full verification transcript")
-        p.add_argument("--conductor-cap", type=int, default=256,
+        p.add_argument("--conductor-cap", default=256,
                        help="maximal cyclotomic field degree")
-        p.add_argument("--group-cap", type=int, default=120,
+        p.add_argument("--group-cap", default=120,
                        help="maximal group order for closures")
 
     p = sub.add_parser("aut", help="automorphism group of P^1 preserving a set")
@@ -307,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("preset", help="closed-form embedding families")
     p.add_argument("--kind", required=True,
                    choices=("cyclic", "dihedral", "tetrahedral"))
-    p.add_argument("--n", type=int, help="rotation order (cyclic/dihedral)")
+    p.add_argument("--n", help="rotation order (cyclic/dihedral)")
     p.add_argument("--pairs", required=True,
                    help='orbit parameters "(a, b);(a, b);..."')
     p.add_argument("--allow-multiplicity", action="store_true",
@@ -319,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--P", dest="p", required=True, help="squarefree polynomial")
     p.add_argument("--Q", dest="q", required=True, help="rational function")
     p.add_argument("--R", dest="r", required=True, help="rational function")
-    p.add_argument("--cap", type=int, default=12, help="witness degree cap")
+    p.add_argument("--cap", default=12, help="witness degree cap")
     common(p)
 
     p = sub.add_parser("verify-extension",
@@ -339,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("cor25", help="threefold-symmetric point families")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", required=True)
     p.add_argument("--a", required=True, help='values "1, 2, 5/2, ..."')
     common(p)
     return top
@@ -391,11 +392,23 @@ def run(argv) -> tuple[int, str]:
     """Run one job; returns (exit status, report text)."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    for flag in ("conductor_cap", "group_cap", "cap"):
+    # integer flags are checked here, so a bad value gets one line, not
+    # argparse's usage block
+    for flag in ("conductor_cap", "group_cap", "cap", "k", "n"):
         value = getattr(args, flag, None)
-        if value is not None and value < 1:
-            return 2, (f"parse error: --{flag.replace('_', '-')} must be "
-                       f"positive, got {value}")
+        if value is None:
+            continue
+        name = "--" + flag.replace("_", "-")
+        try:
+            value = int(value)
+        except ValueError:
+            return 2, f"parse error: {name} must be an integer, got {value!r}"
+        if value < 1:
+            return 2, f"parse error: {name} must be positive, got {value}"
+        setattr(args, flag, value)
+    if getattr(args, "n", None) is not None and args.n > args.group_cap:
+        return 2, (f"parse error: --n must be at most --group-cap "
+                   f"({args.group_cap}), got {args.n}")
     cyclotomic.set_conductor_cap(args.conductor_cap)
     try:
         data = _HANDLERS[args.command](args)

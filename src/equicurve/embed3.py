@@ -148,7 +148,7 @@ class EmbeddingA3:
 def _orbit_term(pair: EndoPair) -> tuple[HPoly2, HPoly2, HPoly2, HPoly2]:
     f1, f2 = pair.f1, pair.f2
     x, y = HPoly2.term(1, 1, 0), HPoly2.term(1, 0, 1)
-    raw = (_add(x * f2, y * f1), 2 * x * f1, 2 * y * f2, _sub(x * f2, y * f1))
+    raw = (x * f2 + y * f1, 2 * x * f1, 2 * y * f2, x * f2 - y * f1)
     g = raw[0].gcd(raw[1]).gcd(raw[2]).gcd(raw[3])
     if g.degree > 0:
         raw = tuple(t.divexact(g) for t in raw)
@@ -156,31 +156,15 @@ def _orbit_term(pair: EndoPair) -> tuple[HPoly2, HPoly2, HPoly2, HPoly2]:
     return tuple(t.scale(lead) for t in raw)
 
 
-def _add(a: HPoly2, b: HPoly2) -> HPoly2:
-    if a.is_zero():
-        return b
-    if b.is_zero():
-        return a
-    return a + b
-
-
-def _sub(a: HPoly2, b: HPoly2) -> HPoly2:
-    if a.is_zero():
-        return -b
-    if b.is_zero():
-        return a
-    return a - b
-
-
 def assemble_embedding(h: FinSubgroupH, sm: P1SelfMap, orbits: list[OrbitData],
                        lambda_points: list[P1Point] | None = None) -> EmbeddingA3:
     """Compose the quadric chart with q -> (q, delta(q))."""
     f1, f2 = sm.reduced1, sm.reduced2
     x, y = HPoly2.term(1, 1, 0), HPoly2.term(1, 0, 1)
-    n1 = _add(x * f2, y * f1)
+    n1 = x * f2 + y * f1
     n2 = 2 * x * f1
     n3 = 2 * y * f2
-    den = _sub(x * f2, y * f1)
+    den = x * f2 - y * f1
     if den.is_zero():
         raise ZeroPolynomialError("the self-map is the identity; no embedding")
     scale = den.lead().inverse()
@@ -239,8 +223,8 @@ def verify_embedding(e: EmbeddingA3) -> Certificate:
         for i in range(3):
             lin = HPoly2.zero()
             for j, nj in enumerate((n1, n2, n3)):
-                lin = _add(lin, nj.scale(m[3 * i + j]))
-            diff = _sub(nh[i] * den, lin * dh)
+                lin = lin + nj.scale(m[3 * i + j])
+            diff = nh[i] * den - lin * dh
             cert.check(f"coordinate {i + 1} equivariant under {g}",
                        diff.is_zero(), witness=f"residual {diff}")
 
@@ -255,13 +239,13 @@ def verify_embedding(e: EmbeddingA3) -> Certificate:
         cert.check(f"orbit {k + 1} denominator vanishes exactly on its orbit",
                    sf_w == sf_p, witness=f"{sf_w} vs {sf_p}")
 
-    quad = _sub(n2 * n3, _sub(n1 * n1, den * den))
+    quad = n2 * n3 - (n1 * n1 - den * den)
     cert.check("image satisfies yz = x^2 - 1", quad.is_zero(),
                witness=f"residual {quad}")
 
     x, y = HPoly2.term(1, 1, 0), HPoly2.term(1, 0, 1)
-    inj1 = _sub(_add(n1, den) * y, n3 * x)
-    inj2 = _sub(n2 * y, _sub(n1, den) * x)
+    inj1 = (n1 + den) * y - n3 * x
+    inj2 = n2 * y - (n1 - den) * x
     cert.check("first chart coordinate of the inverse is the point itself",
                inj1.is_zero() and inj2.is_zero(),
                witness=f"residuals {inj1}; {inj2}")
@@ -324,11 +308,11 @@ def closed_form_pair(kind: str, n: int | None, a, b):
         sext = HPoly2(6, {5: 1, 1: -1})            # x^5 y - x y^5
         quart = HPoly2(4, {4: 1, 0: 1})            # x^4 + y^4
         octic = HPoly2(8, {8: 1, 4: -34, 0: 1})    # x^8 - 34 x^4 y^4 + y^8
-        p = _add((sext * sext).scale(6 * a), (quart * octic).scale(b))
-        f1 = _add(HPoly2(11, {10: 1, 6: -6, 2: 5}).scale(a),
-                  HPoly2(11, {8: -11, 4: -22, 0: 1}).scale(b))
-        f2 = _add(HPoly2(11, {9: -5, 5: 6, 1: -1}).scale(a),
-                  HPoly2(11, {11: -1, 7: 22, 3: 11}).scale(b))
+        p = (sext * sext).scale(6 * a) + (quart * octic).scale(b)
+        f1 = (HPoly2(11, {10: 1, 6: -6, 2: 5}).scale(a)
+              + HPoly2(11, {8: -11, 4: -22, 0: 1}).scale(b))
+        f2 = (HPoly2(11, {9: -5, 5: 6, 1: -1}).scale(a)
+              + HPoly2(11, {11: -1, 7: 22, 3: 11}).scale(b))
         return p, p, EndoPair(f1, f2)
     raise DegenerateParamsError(f"no closed form for kind {kind!r}")
 

@@ -63,13 +63,7 @@ class EndoPair:
 
 def contract(pair: EndoPair) -> HPoly2:
     """The SL(2)-equivariant contraction (f1, f2) -> f1*y - f2*x."""
-    t1 = pair.f1 * HPoly2.term(1, 0, 1)
-    t2 = pair.f2 * HPoly2.term(1, 1, 0)
-    if t1.is_zero():
-        return -t2
-    if t2.is_zero():
-        return t1
-    return t1 - t2
+    return pair.f1 * HPoly2.term(1, 0, 1) - pair.f2 * HPoly2.term(1, 1, 0)
 
 
 def act_on_pair(g: SL2Elem, pair: EndoPair) -> EndoPair:
@@ -77,27 +71,17 @@ def act_on_pair(g: SL2Elem, pair: EndoPair) -> EndoPair:
     from .poly import compose_matrix_many
     mat = g.inverse().entries()
     u1, u2 = compose_matrix_many((pair.f1, pair.f2), mat)
-    return EndoPair(_combine(g.a, u1, g.b, u2), _combine(g.c, u1, g.d, u2))
-
-
-def _combine(s1: CycNum, h1: HPoly2, s2: CycNum, h2: HPoly2) -> HPoly2:
-    a = h1.scale(s1)
-    b = h2.scale(s2)
-    if a.is_zero():
-        return b
-    if b.is_zero():
-        return a
-    return a + b
+    return EndoPair(u1.scale(g.a) + u2.scale(g.b), u1.scale(g.c) + u2.scale(g.d))
 
 
 def orbit_polynomial(points: list[P1Point]) -> HPoly2:
     """Product of (b_k x - a_k y) over [a_k : b_k]; roots exactly the points."""
-    seen: list[P1Point] = []
+    seen: set[P1Point] = set()
     out = HPoly2.term(1, 0, 0)
     for p in points:
-        if any(p == q for q in seen):
+        if p in seen:
             raise DegeneratePointsError(f"duplicate point {p}")
-        seen.append(p)
+        seen.add(p)
         out = out * HPoly2(1, {1: p.b, 0: -p.a})
     return out.normalized()
 
@@ -153,20 +137,26 @@ def reynolds_average(pair: EndoPair, G: FinSubgroupG) -> EndoPair:
     """Average of the G-orbit of the pair; G-fixed, same contraction.
 
     Precondition (checked): the contraction of the pair is G-fixed.
+
+    -I acts on a pair of degree n by (-1)^(n+1).  So the G-orbit sum is
+    twice the sum over one lift per element of H (``G.elements[::2]``, see
+    :func:`sl2_pullback`) when n is odd, and zero when n is even; the
+    average runs over the lifts only.  -I is a generator of G, so a nonzero
+    contraction that passes the check has even degree, and then n is odd.
     """
     P = contract(pair)
     for g in G.generators:
         if P.compose_matrix(g.entries()) != P:
             raise PNotInvariantError(
                 "contraction is not fixed by the group; cannot average")
+    if pair.degree % 2 == 0:
+        return EndoPair(HPoly2.zero(), HPoly2.zero())
+    lifts = G.elements[::2]
     acc1, acc2 = HPoly2.zero(), HPoly2.zero()
-    for g in G.elements:
+    for g in lifts:
         moved = act_on_pair(g, pair)
-        acc1 = moved.f1 if acc1.is_zero() else (
-            acc1 if moved.f1.is_zero() else acc1 + moved.f1)
-        acc2 = moved.f2 if acc2.is_zero() else (
-            acc2 if moved.f2.is_zero() else acc2 + moved.f2)
-    s = CycNum(Fraction(1, len(G.elements)))
+        acc1, acc2 = acc1 + moved.f1, acc2 + moved.f2
+    s = CycNum(Fraction(1, len(lifts)))
     return EndoPair(acc1.scale(s), acc2.scale(s))
 
 
@@ -235,7 +225,8 @@ def build_orbit_data(p: HPoly2, G: FinSubgroupG,
     P = p ** d
     pair = reynolds_average(split_pair(P), G)
     data = OrbitData(points or [], p, d, P, pair)
-    assert data.verify_identity()
+    if not data.verify_identity():
+        raise ArithmeticError(f"averaged pair of {p} lost the contraction P")
     return data
 
 
@@ -256,8 +247,7 @@ def combine_orbits(orbits: list[OrbitData]) -> P1SelfMap:
                 factor = factor * q.P
         t1 = o.pair.f1 * factor
         t2 = o.pair.f2 * factor
-        g1 = t1 if g1.is_zero() else g1 + t1
-        g2 = t2 if g2.is_zero() else g2 + t2
+        g1, g2 = g1 + t1, g2 + t2
     s = CycNum(Fraction(1, r))
     g1, g2 = g1.scale(s), g2.scale(s)
     total = HPoly2.term(1, 0, 0)
@@ -317,8 +307,8 @@ def verify_selfmap_equivariance(sm: P1SelfMap, h: FinSubgroupH) -> Certificate:
     for g in h.generators:
         a, b, c, d = g.entries()
         lhs1, lhs2 = compose_matrix_many((f1, f2), (a, b, c, d))
-        diff = _sub_safe(lhs1 * _combine(c, f1, d, f2),
-                         lhs2 * _combine(a, f1, b, f2))
+        diff = (lhs1 * (f1.scale(c) + f2.scale(d))
+                - lhs2 * (f1.scale(a) + f2.scale(b)))
         cert.check(f"commutes with generator {g}", diff.is_zero(),
                    witness=f"residual {diff}")
     return cert
@@ -333,8 +323,7 @@ def verify_fixed_locus(sm: P1SelfMap, locus: HPoly2 | list[P1Point]) -> Certific
     cert = Certificate("fixed locus")
     target = (locus if isinstance(locus, HPoly2)
               else orbit_polynomial(locus)).normalized()
-    fix = _sub_safe(sm.reduced1 * HPoly2.term(1, 0, 1),
-                    sm.reduced2 * HPoly2.term(1, 1, 0))
+    fix = sm.reduced1 * HPoly2.term(1, 0, 1) - sm.reduced2 * HPoly2.term(1, 1, 0)
     if not cert.check("fixed-point form is not identically zero",
                       not fix.is_zero(),
                       witness="the map is the identity; locus is all of P^1"):
@@ -357,14 +346,6 @@ def _divides(divisor: HPoly2, multiple: HPoly2) -> bool:
         return False
 
 
-def _sub_safe(a: HPoly2, b: HPoly2) -> HPoly2:
-    if a.is_zero():
-        return -b
-    if b.is_zero():
-        return a
-    return a - b
-
-
 def verify_locus_invariance(h: FinSubgroupH,
                             locus: HPoly2 | list[P1Point]) -> Certificate:
     """The fixed locus is setwise invariant under every element of h."""
@@ -376,7 +357,8 @@ def verify_locus_invariance(h: FinSubgroupH,
             cert.check(f"{g} preserves the locus",
                        moved.proportional_to(target) is not None)
     else:
+        points = set(locus)
         for g in h.elements:
-            ok = all(any(g.apply(p) == q for q in locus) for p in locus)
+            ok = all(g.apply(p) in points for p in locus)
             cert.check(f"{g} preserves the locus", ok)
     return cert

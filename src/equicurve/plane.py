@@ -55,9 +55,10 @@ class CurveAut:
         self.points = sort_points(dedupe_points(self.points))
         if not self.points:
             raise DegenerateParamsError("the removed set must be nonempty")
+        removed = set(self.points)
         for p in self.points:
             q = self.g.apply(p)
-            if not any(q == t for t in self.points):
+            if q not in removed:
                 raise NotInvariantError(f"g sends {p} outside the set: {q}")
         self.fixed_form = fixed_point_form(self.g)
         if self.g.is_identity():
@@ -78,7 +79,8 @@ class CurveAut:
             # order of the induced permutation; a Moebius map fixing three
             # points is the identity, so this is exact
             k = _permutation_order(self.g, self.points)
-            assert _power(self.g, k).is_identity()
+            if not _power(self.g, k).is_identity():
+                raise ArithmeticError(f"{self.g}^{k} is not the identity")
             return k
         if (self.g * self.g).is_identity():
             return 2
@@ -95,10 +97,12 @@ class CurveAut:
             return None
         if pts == ALL_OF_P1:
             return []
-        return [p for p in pts if not any(p == q for q in self.points)]
+        removed = set(self.points)
+        return [p for p in pts if p not in removed]
 
 
 def _permutation_order(g: Moebius, pts: list[P1Point]) -> int:
+    index = {p: i for i, p in enumerate(pts)}
     seen = [False] * len(pts)
     out = 1
     for i in range(len(pts)):
@@ -108,8 +112,7 @@ def _permutation_order(g: Moebius, pts: list[P1Point]) -> int:
         j = i
         while not seen[j]:
             seen[j] = True
-            q = g.apply(pts[j])
-            j = next(k for k, t in enumerate(pts) if t == q)
+            j = index[g.apply(pts[j])]
             length += 1
         out = lcm(out, length)
     return out
@@ -185,7 +188,7 @@ def build_affine_extension(c: CurveAut) -> AffineExtension:
         raise ConstructionError(
             "no fixed point inside the removed set; preconditions violated")
     inf = P1Point.infinity()
-    p0 = inf if any(p == inf for p in anchors) else anchors[0]
+    p0 = inf if inf in anchors else anchors[0]
     if p0.is_infinity():
         kappa = Moebius.identity()
     else:
@@ -263,7 +266,7 @@ def build_involution_extension(c: CurveAut) -> InvolutionExtension:
     x = URatFun.x()
     y_par = (x + 1 / x) * CycNum(1) / 2
     x_par = (x - 1 / x) * CycNum(1) / 2
-    a_vals: list[CycNum] = []
+    levels: dict[CycNum, None] = {}   # insertion-ordered set
     for pt in c.points[1:]:
         t = full.apply(pt)
         if t.is_infinity() or not t.a:
@@ -272,8 +275,8 @@ def build_involution_extension(c: CurveAut) -> InvolutionExtension:
         if val == 1 or val == -1:
             raise FixedPointInLambdaError(
                 f"removed point {pt} lands on a fixed point of t -> 1/t")
-        if not any(val == w for w in a_vals):
-            a_vals.append(val)
+        levels.setdefault(val)
+    a_vals = list(levels)
     prod = URatFun.const(1)
     for w in a_vals:
         prod = prod * (y_par - w)
@@ -349,8 +352,8 @@ def verify_cube_symmetry(points: list[P1Point]) -> Certificate:
     from .cyclotomic import root_of_unity
     h = Moebius(1, 0, 0, root_of_unity(3))
     cert = Certificate("threefold symmetry of the family")
+    family = set(points)
     for p in points:
         q = h.apply(p)
-        cert.check(f"{p} stays in the family", any(q == t for t in points),
-                   witness=str(q))
+        cert.check(f"{p} stays in the family", q in family, witness=str(q))
     return cert

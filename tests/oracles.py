@@ -10,8 +10,16 @@ from __future__ import annotations
 from fractions import Fraction
 
 from equicurve.cyclotomic import CycNum
+from equicurve.equivariant import EndoPair, act_on_pair, contract
+from equicurve.errors import PNotInvariantError
 from equicurve.poly import HPoly2
-from equicurve.projline import FinSubgroupH, Moebius, P1Point, aut_of_lambda
+from equicurve.projline import (
+    FinSubgroupG,
+    FinSubgroupH,
+    Moebius,
+    P1Point,
+    aut_of_lambda,
+)
 
 
 def stabilizer_oracle(points: list[P1Point], cap: int = 120) -> FinSubgroupH:
@@ -55,3 +63,22 @@ def brute_force_orbit(g_list: list[Moebius], p: P1Point) -> list[P1Point]:
                     out.append(r)
                     changed = True
     return out
+
+
+def reynolds_average_full_group(pair: EndoPair, G: FinSubgroupG) -> EndoPair:
+    """Reynolds average summed over every element of G, -I included; the
+    library sums over one lift per element of H instead."""
+    P = contract(pair)
+    for g in G.generators:
+        if P.compose_matrix(g.entries()) != P:
+            raise PNotInvariantError(
+                "contraction is not fixed by the group; cannot average")
+    acc1, acc2 = HPoly2.zero(), HPoly2.zero()
+    for g in G.elements:
+        moved = act_on_pair(g, pair)
+        acc1 = moved.f1 if acc1.is_zero() else (
+            acc1 if moved.f1.is_zero() else acc1 + moved.f1)
+        acc2 = moved.f2 if acc2.is_zero() else (
+            acc2 if moved.f2.is_zero() else acc2 + moved.f2)
+    s = CycNum(Fraction(1, len(G.elements)))
+    return EndoPair(acc1.scale(s), acc2.scale(s))

@@ -62,7 +62,7 @@ from equicurve.projline import (
     sl2_pullback,
     sort_points,
 )
-from oracles import same_group, stabilizer_oracle
+from oracles import reynolds_average_full_group, same_group, stabilizer_oracle
 
 W = root_of_unity(3)
 I4 = root_of_unity(4)
@@ -274,13 +274,14 @@ def test_criterion_4_averaging_suite():
                 base = EndoPair(base.f1 + u * HPoly2.term(1, 1, 0),
                                 base.f2 + u * HPoly2.term(1, 0, 1))
         avg = reynolds_average(base, G)
+        assert avg == reynolds_average_full_group(base, G)
         for g in G.elements:
             assert act_on_pair(g, avg) == avg
         assert reynolds_average(avg, G) == avg
         assert contract(avg) == contract(base)
         done += 1
-    report(4, "averaging: fixedness, idempotence, contraction on "
-              "100 instances", t0)
+    report(4, "averaging: full-group oracle, fixedness, idempotence, "
+              "contraction on 100 instances", t0)
 
 
 def test_criterion_5_embeddings_end_to_end():

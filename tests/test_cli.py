@@ -1,6 +1,8 @@
 import json
 
-from equicurve.cli import run
+import pytest
+
+from equicurve.cli import main, run
 
 
 def test_embed_reference_invocation():
@@ -163,3 +165,40 @@ def test_group_cap_enforced_by_stabilizer_search():
                       "--group-cap", "1"])
     assert code == 3
     assert text == "construction error: stabilizer exceeded cap 1"
+
+
+_AUT = ["aut", "--lambda", "[0:1],[1:1],[1:0],[2:1]"]
+_PLANAR = ["planar-normalize", "--P", "x", "--Q", "1/x", "--R", "x + 1/x"]
+_PRESET = ["preset", "--kind", "cyclic", "--pairs", "(1, 2)"]
+_COR25 = ["cor25", "--a", "1"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (_AUT + ["--conductor-cap", "2.5"],
+     "parse error: --conductor-cap must be an integer, got '2.5'"),
+    (_AUT + ["--group-cap", "many"],
+     "parse error: --group-cap must be an integer, got 'many'"),
+    (_PLANAR + ["--cap", "1e3"],
+     "parse error: --cap must be an integer, got '1e3'"),
+    (_COR25 + ["--k", "1.0"], "parse error: --k must be an integer, got '1.0'"),
+    (_PRESET + ["--n", "three"],
+     "parse error: --n must be an integer, got 'three'"),
+    (_COR25 + ["--k", "0"], "parse error: --k must be positive, got 0"),
+    (_PRESET + ["--n", "-2"], "parse error: --n must be positive, got -2"),
+    (_PRESET + ["--n", "1000000000000000003"],
+     "parse error: --n must be at most --group-cap (120), "
+     "got 1000000000000000003"),
+    (_PRESET + ["--n", "13", "--group-cap", "12"],
+     "parse error: --n must be at most --group-cap (12), got 13"),
+], ids=["conductor-cap", "group-cap", "cap", "k", "n", "k-range", "n-range",
+        "n-huge", "n-above-group-cap"])
+def test_bad_integer_flags_exit_2_with_one_line(argv, message, capsys):
+    assert run(argv) == (2, message)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == (message + "\n", "")
+
+
+def test_integer_flags_accept_what_int_accepts():
+    code, text = run(_PRESET + ["--n", " 3", "--group-cap", "+120"])
+    assert code == 0 and "n: 3" in text

@@ -2,7 +2,9 @@ import random
 
 import pytest
 
+from equicurve import equivariant
 from equicurve.cyclotomic import CycNum, root_of_unity
+from equicurve.embed3 import standard_group
 from equicurve.equivariant import (
     EndoPair,
     OrbitData,
@@ -22,6 +24,7 @@ from equicurve.equivariant import (
 from equicurve.errors import (
     ConstantTermError,
     DegeneratePointsError,
+    NotInvariantError,
     NotSemiInvariantError,
     PNotInvariantError,
 )
@@ -32,12 +35,15 @@ from equicurve.projline import (
     P1Point,
     SL2Elem,
     group_closure,
+    orbit_decompose,
     sl2_pullback,
 )
+from oracles import reynolds_average_full_group
 
 W = root_of_unity(3)
 I4 = root_of_unity(4)
 INF = P1Point.infinity()
+I4_PT = P1Point(I4, 1)
 
 
 def pt(v):
@@ -284,3 +290,67 @@ def test_build_delta_single_infinity():
     sm, orbits, _ = selfmap_with_fixed_locus(h, [INF])
     assert verify_fixed_locus(sm, [INF]).ok
     assert sm.reduced2.is_zero()  # constant map to [1 : 0]
+
+
+def _orbit_pair(h, G, seed, rng):
+    """A random pair over the G-fixed power P of the orbit form of seed."""
+    orbit = list(dict.fromkeys(g.apply(seed) for g in h.elements))
+    p = orbit_polynomial(orbit)
+    P = p ** invariant_power(p, G)[0]
+    base = split_pair(P)
+    u = HPoly2(P.degree - 2, {i: rng.randint(-2, 2) for i in range(P.degree - 1)})
+    if u.is_zero():
+        return base
+    return EndoPair(base.f1 + u * HPoly2.term(1, 1, 0),
+                    base.f2 + u * HPoly2.term(1, 0, 1))
+
+
+@pytest.mark.parametrize("kind, n, seeds", [
+    ("cyclic", 2, (pt(2), pt(3), INF)),
+    ("cyclic", 3, (pt(2), P1Point(0, 1))),
+    ("cyclic", 5, (pt(2),)),
+    ("dihedral", 2, (pt(2), P1Point(0, 1))),
+    ("dihedral", 3, (pt(3),)),
+    ("tetrahedral", None, (P1Point(0, 1), P1Point(root_of_unity(8), 1))),
+    ("octahedral", None, (P1Point(0, 1),)),
+])
+def test_reynolds_over_lifts_equals_full_group_average(kind, n, seeds):
+    h = standard_group(kind, n)
+    G = sl2_pullback(h)
+    rng = random.Random(f"{kind}{n}")
+    for seed in seeds:
+        base = _orbit_pair(h, G, seed, rng)
+        avg = reynolds_average(base, G)
+        assert avg == reynolds_average_full_group(base, G)
+        assert contract(avg) == contract(base)
+
+
+def test_reynolds_zero_contraction_pairs_match_full_group():
+    # (u x, u y) contracts to zero; -I negates it when deg u is odd, and
+    # then the full-group sum cancels to zero
+    for u in ("x", "x*y", "x^2 - 3*y^2", "y^3"):
+        uu = parse_hpoly(u)
+        base = EndoPair(uu * HPoly2.term(1, 1, 0), uu * HPoly2.term(1, 0, 1))
+        for G in (sl2_pullback(group_closure([])), G2, GT):
+            avg = reynolds_average(base, G)
+            assert avg == reynolds_average_full_group(base, G)
+            if base.degree % 2 == 0:
+                assert avg.is_zero()
+
+
+def test_orbit_decompose_rejects_set_open_at_a_later_orbit():
+    # the first orbit {2, -2} is closed; 3 goes to -3, outside the set
+    with pytest.raises(NotInvariantError):
+        orbit_decompose(CYCLIC2, [pt(2), pt(-2), pt(3)])
+    with pytest.raises(NotInvariantError):
+        orbit_decompose(TETRA, [P1Point(0, 1), INF, pt(1), pt(-1), I4_PT])
+    assert [len(o) for o in orbit_decompose(
+        TETRA, [P1Point(0, 1), INF, pt(1), pt(-1), I4_PT, P1Point(-I4, 1)])] == [6]
+
+
+def test_build_orbit_data_checks_contraction_without_assert(monkeypatch):
+    p = parse_hpoly("x^2 - y^2")
+    monkeypatch.setattr(equivariant, "reynolds_average",
+                        lambda pair, G: EndoPair(pair.f1, -pair.f2))
+    with pytest.raises(ArithmeticError):
+        build_orbit_data(p, G2)

@@ -3,8 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+from equicurve import plane
 from equicurve.cyclotomic import CycNum, root_of_unity
-from equicurve.errors import DegenerateParamsError, TrivialAutomorphismError
+from equicurve.errors import (
+    DegenerateParamsError,
+    NotInvariantError,
+    TrivialAutomorphismError,
+)
 from equicurve.parsing import parse_ratfun
 from equicurve.plane import (
     CurveAut,
@@ -185,3 +190,19 @@ def test_decision_total_on_finite_orders():
         assert isinstance(v, (Extendable, Obstructed, OpenCase))
         if isinstance(v, Extendable):
             assert v.certificate.ok
+
+
+def test_order_self_check_raises(monkeypatch):
+    # a wrong permutation order must not pass silently, also under python -O
+    pts = [pt(2), pt(-2), pt(3), pt(-3)]
+    assert CurveAut(pts, Moebius(-1, 0, 0, 1)).order == 2
+    monkeypatch.setattr(plane, "_permutation_order", lambda g, points: 1)
+    with pytest.raises(ArithmeticError):
+        CurveAut(pts, Moebius(-1, 0, 0, 1))
+
+
+def test_curve_aut_rejects_non_invariant_set():
+    with pytest.raises(NotInvariantError):
+        CurveAut([pt(2), pt(-2), pt(3)], Moebius(-1, 0, 0, 1))
+    fam = cube_symmetric_family(1, [1])
+    assert not verify_cube_symmetry(fam[:2]).ok

@@ -1,7 +1,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from equicurve import projline
 from equicurve.cyclotomic import CycNum, root_of_unity
 from equicurve.errors import (
     DegeneratePointsError,
@@ -258,3 +260,46 @@ def test_aut_of_lambda_cube_roots_contains_reference_elements():
     for i in range(3):
         involution = Moebius(0, 1, W ** i, 0)  # x -> 1/(w^i x)
         assert any(g == involution for g in h.elements)
+
+
+def test_equal_values_hash_equal_across_stored_conductors():
+    two_at_4 = CycNum(2).embedded(4)
+    g4, g1 = Moebius(1, two_at_4, 0, 1), Moebius(1, 2, 0, 1)
+    assert (g4.b.m, g1.b.m) == (4, 1)   # a leading 1 keeps entries as given
+    assert g4 == g1 and hash(g4) == hash(g1)
+    i12, i4 = Moebius(1, I4.embedded(12), 0, 1), Moebius(1, I4, 0, 1)
+    assert (i12.b.m, i4.b.m) == (12, 4)
+    assert i12 == i4 and hash(i12) == hash(i4)
+    assert len({g4, g1, i12, i4, Moebius.identity()}) == 3
+    s4, s1 = SL2Elem(1, two_at_4, 0, 1), SL2Elem(1, 2, 0, 1)
+    assert s4 == s1 and hash(s4) == hash(s1)
+    assert len({s4, s1, -s1}) == 2
+    p12, p4 = P1Point(I4.embedded(12), 1), P1Point(I4, CycNum(1).embedded(8))
+    assert p12 == p4 and hash(p12) == hash(p4)
+    assert {pt(2): "two"}[P1Point(CycNum(4).embedded(3), 2)] == "two"
+    assert len({p12, p4, INF, P1Point(3, 0), pt(2)}) == 3
+
+
+def test_fixed_points_self_check_raises(monkeypatch):
+    # a wrong square root must not pass silently, also under python -O
+    monkeypatch.setattr(projline, "try_sqrt", lambda v: CycNum(7))
+    with pytest.raises(ArithmeticError):
+        fixed_points(Moebius(0, 1, -1, 1))
+
+
+_POOL = [0, 1, -1, 2, -2, 3, 5, CycNum(1) / 2, W, W * W, I4, -I4, 2 * W, 1 + W]
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(st.lists(st.integers(0, len(_POOL)), min_size=3, max_size=6,
+                unique=True),
+       st.tuples(*[st.integers(-3, 3)] * 4).filter(
+           lambda e: e[0] * e[3] != e[1] * e[2]))
+def test_stabilizer_of_moved_set_is_conjugate(indices, entries):
+    # aut(g L) = g aut(L) g^-1
+    pts = [INF if i == len(_POOL) else pt(_POOL[i]) for i in indices]
+    g = Moebius(*entries)
+    h = aut_of_lambda(pts)
+    moved = aut_of_lambda([g.apply(p) for p in pts])
+    assert moved.kind == h.kind
+    assert set(moved.elements) == {g * e * g.inverse() for e in h.elements}
