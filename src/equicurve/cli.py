@@ -142,6 +142,8 @@ def _mat3_str(m) -> str:
 
 def _cmd_preset(args) -> dict:
     from .embed3 import preset_family
+    if args.kind == "tetrahedral" and args.n is not None:
+        raise ParseError("--n applies to the cyclic and dihedral presets only")
     pairs = []
     from .parsing import _split_top
     for chunk in _split_top(args.pairs.strip(), ";"):

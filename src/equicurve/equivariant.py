@@ -123,14 +123,9 @@ def split_pair(P: HPoly2) -> EndoPair:
     d = P.degree
     if d == 0:
         raise ConstantTermError("cannot split a nonzero constant")
-    f1 = {}
-    f2 = {}
-    for i, v in P.c.items():
-        if i < d:
-            f1[i] = v
-        else:
-            f2[i - 1] = -v
-    return EndoPair(HPoly2(d - 1, f1), HPoly2(d - 1, f2))
+    top = P.lead() if P.y_valuation() == 0 else _C0   # coefficient of x^d
+    f1 = (P - HPoly2.term(top, d, 0)).divexact(HPoly2.term(1, 0, 1))
+    return EndoPair(f1, HPoly2.term(-top, d - 1, 0))
 
 
 def reynolds_average(pair: EndoPair, G: FinSubgroupG) -> EndoPair:

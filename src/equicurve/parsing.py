@@ -14,6 +14,9 @@ from .cyclotomic import CycNum, euler_phi
 from .errors import ParseError
 from .poly import MPoly, UPoly, URatFun, HPoly2, POLY3_VARS
 
+# the largest exponent accepted in ``expr ^ e``; checked before any power
+MAX_EXPONENT = 64
+
 
 class _Tok:
     __slots__ = ("kind", "val", "pos")
@@ -110,8 +113,11 @@ class _Parser:
         v = self.atom()
         while self.peek().kind == "^":
             self.take()
-            e = self.take("num").val
-            v = v ** e
+            t = self.take("num")
+            if t.val > MAX_EXPONENT:
+                raise ParseError(f"exponent {t.val} at position {t.pos} "
+                                 f"exceeds {MAX_EXPONENT}")
+            v = v ** t.val
         return v
 
     def atom(self):

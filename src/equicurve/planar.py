@@ -256,8 +256,8 @@ def verify_extension(forward: tuple[MPoly, MPoly, MPoly],
             pole = pole * comp.den.divexact(g)
         if comp.num.degree > comp.den.degree:
             infinite_pole = True
-    pole_form = HPoly2.rehomogenize(pole.squarefree_part(),
-                                    pole.squarefree_part().degree)
+    pole_sf = pole.squarefree_part()
+    pole_form = HPoly2(pole_sf.degree, pole_sf)
     if infinite_pole:
         pole_form = pole_form * HPoly2.term(1, 0, 1)
     moved = pole_form.compose_matrix(phi.inverse().entries())

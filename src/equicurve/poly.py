@@ -4,8 +4,8 @@ Four shapes cover everything the constructions need:
 
 * :class:`UPoly` - dense univariate polynomials (curve data on A^1);
 * :class:`URatFun` - reduced univariate rational functions;
-* :class:`HPoly2` - homogeneous bivariate polynomials, a sparse map from
-  x-exponent to coefficient (monomial ``x^i y^(d-i)``);
+* :class:`HPoly2` - homogeneous bivariate polynomials, a degree plus the
+  dehomogenization as a UPoly (coefficient i belongs to ``x^i y^(d-i)``);
 * :class:`MPoly` - sparse multivariate polynomials with named variables
   (polynomial maps of A^3, witness polynomials, identity checking).
 """
@@ -20,12 +20,8 @@ _C0 = CycNum(0)
 _C1 = CycNum(1)
 
 
-def _fmt_coeff(c: CycNum) -> str:
-    return str(c)
-
-
 def _fmt_term(c: CycNum, mono: str, first: bool) -> str:
-    s = _fmt_coeff(c)
+    s = str(c)
     neg = s.startswith("-") and not s.startswith("-c")  # plain negative rational
     if neg:
         s = s[1:]
@@ -38,6 +34,27 @@ def _fmt_term(c: CycNum, mono: str, first: bool) -> str:
     return sign + s
 
 
+def _upoly(cs: list) -> "UPoly":
+    # trusted constructor: cs is a fresh list of CycNum
+    while cs and not cs[-1]:
+        cs.pop()
+    out = object.__new__(UPoly)
+    out.c = tuple(cs)
+    return out
+
+
+def _power(base, n: int, one):
+    """base ** n by repeated squaring, for n >= 0."""
+    out = one
+    while n:
+        if n & 1:
+            out = out * base
+        n >>= 1
+        if n:
+            base = base * base
+    return out
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -47,10 +64,7 @@ class UPoly:
     __slots__ = ("c",)
 
     def __init__(self, coeffs=()):
-        cs = [as_cyc(v) for v in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        self.c = tuple(cs)
+        self.c = _upoly([as_cyc(v) for v in coeffs]).c
 
     @staticmethod
     def const(v) -> "UPoly":
@@ -90,45 +104,37 @@ class UPoly:
     def __add__(self, other):
         a, b = self.c, other.c
         n = max(len(a), len(b))
-        return UPoly([(a[i] if i < len(a) else _C0) + (b[i] if i < len(b) else _C0)
-                      for i in range(n)])
+        return _upoly([(a[i] if i < len(a) else _C0) + (b[i] if i < len(b) else _C0)
+                       for i in range(n)])
 
     def __sub__(self, other):
         a, b = self.c, other.c
         n = max(len(a), len(b))
-        return UPoly([(a[i] if i < len(a) else _C0) - (b[i] if i < len(b) else _C0)
-                      for i in range(n)])
+        return _upoly([(a[i] if i < len(a) else _C0) - (b[i] if i < len(b) else _C0)
+                       for i in range(n)])
 
     def __neg__(self):
-        return UPoly([-v for v in self.c])
+        return _upoly([-v for v in self.c])
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, CycNum)):
             s = as_cyc(other)
-            return UPoly([v * s for v in self.c])
+            return _upoly([v * s if v else v for v in self.c])
         a, b = self.c, other.c
         if not a or not b:
             return UPoly()
         out = [_C0] * (len(a) + len(b) - 1)
+        nz = [(j, bj) for j, bj in enumerate(b) if bj]
         for i, ai in enumerate(a):
             if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        out[i + j] = out[i + j] + ai * bj
-        return UPoly(out)
+                for j, bj in nz:
+                    out[i + j] = out[i + j] + ai * bj
+        return _upoly(out)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        out = UPoly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+        return _power(self, n, UPoly.const(1))
 
     def divmod(self, other: "UPoly"):
         if other.is_zero():
@@ -137,14 +143,14 @@ class UPoly:
         db = other.degree
         inv = other.lead().inverse()
         q = [_C0] * max(0, len(rem) - db)
+        nz = [(j, bj) for j, bj in enumerate(other.c) if bj]
         for i in range(len(rem) - 1, db - 1, -1):
             if rem[i]:
                 f = rem[i] * inv
                 q[i - db] = f
-                for j, bj in enumerate(other.c):
-                    if bj:
-                        rem[i - db + j] = rem[i - db + j] - f * bj
-        return UPoly(q), UPoly(rem)
+                for j, bj in nz:
+                    rem[i - db + j] = rem[i - db + j] - f * bj
+        return _upoly(q), _upoly(rem)
 
     def __mod__(self, other):
         return self.divmod(other)[1]
@@ -162,7 +168,7 @@ class UPoly:
         if self.is_zero():
             return self
         inv = self.lead().inverse()
-        return UPoly([v * inv for v in self.c])
+        return _upoly([v * inv for v in self.c])
 
     def derivative(self) -> "UPoly":
         return UPoly([self.c[i] * i for i in range(1, len(self.c))])
@@ -312,15 +318,7 @@ class URatFun:
             if self.is_zero():
                 raise ZeroDivisionError("inverse of zero")
             return URatFun(self.den, self.num) ** (-n)
-        out = URatFun.const(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+        return _power(self, n, URatFun.const(1))
 
     def compose(self, inner: "URatFun") -> "URatFun":
         n = self.num.compose(inner)
@@ -355,16 +353,36 @@ class URatFun:
 
 
 class HPoly2:
-    """Homogeneous polynomial in x, y; sparse on the x-exponent."""
+    """Homogeneous polynomial in x, y of degree ``d``, viewed through its
+    dehomogenization ``u = f(x, 1)``: coefficient i of ``u`` belongs to
+    ``x^i y^(d-i)``.
 
-    __slots__ = ("d", "c")
+    The arithmetic is :class:`UPoly`'s; the view only keeps the degree.  The
+    x-valuation is the number of low-order zeros of ``u``, the y-valuation
+    is ``d - u.degree``.  The zero polynomial has degree -1.
+    """
 
-    def __init__(self, d: int = -1, coeffs: dict | None = None):
-        c = {i: as_cyc(v) for i, v in (coeffs or {}).items() if as_cyc(v)}
-        if not c:
+    __slots__ = ("d", "u")
+
+    def __init__(self, d: int = -1, coeffs=None):
+        """``coeffs``: the dehomogenization as a UPoly, or a map from
+        x-exponent to coefficient."""
+        if isinstance(coeffs, UPoly):
+            u = coeffs
+        else:
+            coeffs = coeffs or {}
+            dense = [_C0] * (max(coeffs, default=-1) + 1)
+            for i, v in coeffs.items():
+                v = as_cyc(v)
+                if v:
+                    dense[i] = v
+            u = UPoly(dense)
+        if not u.c:
             d = -1
+        elif u.degree > d:
+            raise ValueError(f"x-degree {u.degree} exceeds the degree {d}")
         self.d = d
-        self.c = c
+        self.u = u
 
     @staticmethod
     def zero() -> "HPoly2":
@@ -372,316 +390,206 @@ class HPoly2:
 
     @staticmethod
     def term(coeff, i: int, j: int) -> "HPoly2":
-        return HPoly2(i + j, {i: as_cyc(coeff)})
+        return HPoly2(i + j, {i: coeff})
 
     def is_zero(self) -> bool:
-        return not self.c
+        return not self.u.c
 
     def __bool__(self):
-        return bool(self.c)
+        return bool(self.u.c)
 
     @property
     def degree(self) -> int:
         return self.d
 
     def x_valuation(self) -> int:
-        if not self.c:
+        if not self.u.c:
             raise ZeroPolynomialError("valuation of zero")
-        return min(self.c)
+        return next(i for i, v in enumerate(self.u.c) if v)
 
     def y_valuation(self) -> int:
-        if not self.c:
+        if not self.u.c:
             raise ZeroPolynomialError("valuation of zero")
-        return self.d - max(self.c)
+        return self.d - self.u.degree
 
     def lead(self) -> CycNum:
         """Coefficient at the highest x-exponent."""
-        if not self.c:
-            raise ZeroPolynomialError("zero polynomial")
-        return self.c[max(self.c)]
+        return self.u.lead()
 
     def __eq__(self, other):
         if not isinstance(other, HPoly2):
             return NotImplemented
-        return self.d == other.d and self.keys_eq(other)
-
-    def keys_eq(self, other):
-        if set(self.c) != set(other.c):
-            return False
-        return all(self.c[k] == other.c[k] for k in self.c)
+        return self.d == other.d and self.u == other.u
 
     __hash__ = None
 
-    def __add__(self, other: "HPoly2"):
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
+    def _common_degree(self, other: "HPoly2") -> int:
         if self.d != other.d:
             raise DegreeMismatchError(
                 f"cannot add homogeneous degrees {self.d} and {other.d}")
-        out = dict(self.c)
-        for i, v in other.c.items():
-            s = out.get(i, _C0) + v
-            if s:
-                out[i] = s
-            else:
-                out.pop(i, None)
-        return HPoly2(self.d, out)
+        return self.d
+
+    def __add__(self, other: "HPoly2"):
+        if not self.u.c:
+            return other
+        if not other.u.c:
+            return self
+        return HPoly2(self._common_degree(other), self.u + other.u)
 
     def __sub__(self, other: "HPoly2"):
-        return self + (-other)
+        if not other.u.c:
+            return self
+        if not self.u.c:
+            return -other
+        return HPoly2(self._common_degree(other), self.u - other.u)
 
     def __neg__(self):
-        return HPoly2(self.d, {i: -v for i, v in self.c.items()})
+        return HPoly2(self.d, -self.u)
 
     def scale(self, s) -> "HPoly2":
         s = as_cyc(s)
-        if not s:
+        if not s or not self.u.c:
             return HPoly2()
-        return HPoly2(self.d, {i: v * s for i, v in self.c.items()})
+        return HPoly2(self.d, self.u * s)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, CycNum)):
             return self.scale(other)
-        if self.is_zero() or other.is_zero():
+        if not self.u.c or not other.u.c:
             return HPoly2()
-        out: dict[int, CycNum] = {}
-        for i, a in self.c.items():
-            for j, b in other.c.items():
-                k = i + j
-                s = out.get(k, _C0) + a * b
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-        return HPoly2(self.d + other.d, out)
+        return HPoly2(self.d + other.d, self.u * other.u)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        out = HPoly2.term(1, 0, 0)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+        return HPoly2(self.d * n, self.u ** n)
 
     def eval(self, a, b) -> CycNum:
         a, b = as_cyc(a), as_cyc(b)
-        if self.is_zero():
-            return _C0
-        pa = {0: _C1}
-        pb = {0: _C1}
         out = _C0
-        for i in sorted(self.c):
-            j = self.d - i
-            if i not in pa:
-                pa[i] = a ** i
-            if j not in pb:
-                pb[j] = b ** j
-            out = out + self.c[i] * pa[i] * pb[j]
+        for i, v in enumerate(self.u.c):
+            if v:
+                out = out + v * a ** i * b ** (self.d - i)
         return out
 
     def compose_matrix(self, mat) -> "HPoly2":
         """Substitute (x, y) <- (m11 x + m12 y, m21 x + m22 y)."""
-        if self.is_zero():
-            return self
-        m11, m12, m21, m22 = (as_cyc(v) for v in mat)
-        d = self.d
-        if not m12 and not m21:
-            return HPoly2(d, {i: v * m11 ** i * m22 ** (d - i)
-                              for i, v in self.c.items()})
-        if not m11 and not m22:
-            return HPoly2(d, {d - i: v * m12 ** i * m21 ** (d - i)
-                              for i, v in self.c.items()})
-        ax = [_C1]  # powers of m11 x + m12 y as coefficient lists on x-exp
-        lin_a = [m12, m11]
-        lin_b = [m22, m21]
-        pows_a = [[_C1]]
-        pows_b = [[_C1]]
-        for _ in range(d):
-            pows_a.append(_lin_mul(pows_a[-1], lin_a))
-            pows_b.append(_lin_mul(pows_b[-1], lin_b))
-        out: dict[int, CycNum] = {}
-        for i, v in self.c.items():
-            pa, pb = pows_a[i], pows_b[d - i]
-            for s, cs in enumerate(pa):
-                if not cs:
-                    continue
-                for t, ct in enumerate(pb):
-                    if not ct:
-                        continue
-                    k = s + t
-                    acc = out.get(k, _C0) + v * cs * ct
-                    if acc:
-                        out[k] = acc
-                    else:
-                        out.pop(k, None)
-        return HPoly2(d, out)
+        return compose_matrix_many((self,), mat)[0]
 
     # -- divisibility and gcd ------------------------------------------------
 
     def dehomogenize(self) -> UPoly:
         """f(x, 1) as a univariate polynomial."""
-        if self.is_zero():
-            return UPoly()
-        out = [_C0] * (max(self.c) + 1)
-        for i, v in self.c.items():
-            out[i] = v
-        return UPoly(out)
-
-    @staticmethod
-    def rehomogenize(u: UPoly, d: int) -> "HPoly2":
-        if u.is_zero():
-            return HPoly2()
-        if u.degree > d:
-            raise ValueError("degree too large to homogenize")
-        return HPoly2(d, {i: v for i, v in enumerate(u.c) if v})
+        return self.u
 
     def divexact(self, other: "HPoly2") -> "HPoly2":
-        if other.is_zero():
+        if not other.u.c:
             raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero():
+        if not self.u.c:
             return HPoly2()
-        vx, vy = self.x_valuation(), self.y_valuation()
-        wx, wy = other.x_valuation(), other.y_valuation()
-        if vx < wx or vy < wy:
+        if self.y_valuation() < other.y_valuation():
             raise ZeroPolynomialError("inexact homogeneous division")
-        # strip the x valuation, divide dehomogenizations exactly
-        a_u = UPoly([self.c.get(i, _C0) for i in range(vx, max(self.c) + 1)])
-        b_u = UPoly([other.c.get(i, _C0) for i in range(wx, max(other.c) + 1)])
-        q_u = a_u.divexact(b_u)
-        dq = self.d - other.d
-        q = HPoly2(dq, {i + (vx - wx): v for i, v in enumerate(q_u.c) if v})
-        return q
+        return HPoly2(self.d - other.d, self.u.divexact(other.u))
 
     def gcd(self, other: "HPoly2") -> "HPoly2":
-        if self.is_zero():
+        """Monic gcd; x^k and y^k factors included."""
+        if not self.u.c:
             return other.normalized()
-        if other.is_zero():
+        if not other.u.c:
             return self.normalized()
-        vx = min(self.x_valuation(), other.x_valuation())
-        vy = min(self.y_valuation(), other.y_valuation())
-        a_u = UPoly([self.c.get(i, _C0)
-                     for i in range(self.x_valuation(), max(self.c) + 1)])
-        b_u = UPoly([other.c.get(i, _C0)
-                     for i in range(other.x_valuation(), max(other.c) + 1)])
-        g_u = a_u.gcd(b_u)
-        g = HPoly2(g_u.degree + vx + vy,
-                   {i + vx: v for i, v in enumerate(g_u.c) if v})
-        return g.normalized()
+        g = self.u.gcd(other.u)
+        return HPoly2(g.degree + min(self.y_valuation(), other.y_valuation()), g)
 
     def squarefree_decomp(self) -> tuple["HPoly2", "HPoly2"]:
         """(squarefree part, cofactor) with self = part * cofactor."""
-        if self.is_zero():
-            raise ZeroPolynomialError("squarefree part of zero")
-        vx, vy = self.x_valuation(), self.y_valuation()
-        core_u = UPoly([self.c.get(i, _C0) for i in range(vx, max(self.c) + 1)])
-        sf_u = core_u.squarefree_part()
-        d_sf = sf_u.degree + min(vx, 1) + min(vy, 1)
-        sf = HPoly2(d_sf, {i + min(vx, 1): v for i, v in enumerate(sf_u.c) if v})
-        sf = sf.normalized()
+        sf_u = self.u.squarefree_part()
+        sf = HPoly2(sf_u.degree + min(self.y_valuation(), 1), sf_u)
         return sf, self.divexact(sf)
 
     def normalized(self) -> "HPoly2":
         """Scale so the coefficient at the highest x-exponent is 1."""
-        if self.is_zero():
+        if not self.u.c:
             return self
-        return self.scale(self.lead().inverse())
+        return HPoly2(self.d, self.u.monic())
 
     def proportional_to(self, other: "HPoly2") -> CycNum | None:
         """Scalar s with self = s * other, or None."""
-        if self.is_zero():
+        if not self.u.c:
             return _C0
-        if other.is_zero() or self.d != other.d or set(self.c) != set(other.c):
+        if (not other.u.c or self.d != other.d
+                or self.u.degree != other.u.degree):
             return None
-        k = max(self.c)
-        s = self.c[k] / other.c[k]
-        for i, v in self.c.items():
-            if v != s * other.c[i]:
-                return None
-        return s
+        s = self.u.lead() / other.u.lead()
+        return s if self.u == other.u * s else None
 
     def __str__(self) -> str:
-        if not self.c:
+        if not self.u.c:
             return "0"
         parts = []
-        for i in sorted(self.c, reverse=True):
+        for i in range(self.u.degree, -1, -1):
+            v = self.u.c[i]
+            if not v:
+                continue
             j = self.d - i
             xs = "" if i == 0 else ("x" if i == 1 else f"x^{i}")
             ys = "" if j == 0 else ("y" if j == 1 else f"y^{j}")
             mono = "*".join(s for s in (xs, ys) if s)
-            parts.append(_fmt_term(self.c[i], mono, not parts))
+            parts.append(_fmt_term(v, mono, not parts))
         return "".join(parts)
 
     __repr__ = __str__
 
 
-def _lin_mul(coeffs: list[CycNum], lin: list[CycNum]) -> list[CycNum]:
-    # multiply a dense x-exponent list by (lin[1] x + lin[0] y), homogeneous
-    out = [_C0] * (len(coeffs) + 1)
-    c0, c1 = lin
-    for i, v in enumerate(coeffs):
-        if v:
-            out[i] = out[i] + v * c0
-            out[i + 1] = out[i + 1] + v * c1
-    return out
-
-
 def compose_matrix_many(polys, mat):
-    """Substitute one matrix into several same-degree homogeneous polys,
-    sharing the powers of the two substituted linear forms."""
-    degs = {p.d for p in polys if not p.is_zero()}
+    """Substitute (x, y) <- (m11 x + m12 y, m21 x + m22 y) into each form.
+
+    Forms of one degree share the powers of the two linear forms and their
+    products; forms of mixed degrees are substituted one at a time.  Under a
+    diagonal or antidiagonal matrix each monomial maps to a multiple of one
+    monomial.
+    """
+    degs = {p.d for p in polys if p.u.c}
     if not degs:
         return list(polys)
     if len(degs) != 1:
-        return [p.compose_matrix(mat) for p in polys]
+        return [compose_matrix_many((p,), mat)[0] for p in polys]
     d = degs.pop()
     m11, m12, m21, m22 = (as_cyc(v) for v in mat)
-    if (not m12 and not m21) or (not m11 and not m22):
-        return [p.compose_matrix(mat) for p in polys]
-    lin_a = [m12, m11]
-    lin_b = [m22, m21]
-    pows_a = [[_C1]]
-    pows_b = [[_C1]]
+    diagonal = not m12 and not m21
+    if diagonal or (not m11 and not m22):
+        ca, cb = (m11, m22) if diagonal else (m12, m21)
+        out = []
+        for p in polys:
+            if not p.u.c:
+                out.append(p)
+                continue
+            cs = [v * ca ** i * cb ** (d - i) if v else _C0
+                  for i, v in enumerate(p.u.c)]
+            if not diagonal:   # x^i y^(d-i) -> x^(d-i) y^i
+                cs = [_C0] * (d + 1 - len(cs)) + cs[::-1]
+            out.append(HPoly2(d, _upoly(cs)))
+        return out
+    lin_a, lin_b = UPoly([m12, m11]), UPoly([m22, m21])
+    pows_a, pows_b = [UPoly.const(1)], [UPoly.const(1)]
     for _ in range(d):
-        pows_a.append(_lin_mul(pows_a[-1], lin_a))
-        pows_b.append(_lin_mul(pows_b[-1], lin_b))
-    prods: dict[int, list[CycNum]] = {}
-    needed = sorted({i for p in polys for i in p.c})
-    for i in needed:
-        pa, pb = pows_a[i], pows_b[d - i]
-        dense = [_C0] * (d + 1)
-        for s, cs in enumerate(pa):
-            if cs:
-                for t, ct in enumerate(pb):
-                    if ct:
-                        dense[s + t] = dense[s + t] + cs * ct
-        prods[i] = dense
+        pows_a.append(pows_a[-1] * lin_a)
+        pows_b.append(pows_b[-1] * lin_b)
+    # row i: the nonzero terms of the image of x^i y^(d-i), shared by all forms
+    rows = {}
+    for i in {i for p in polys for i, v in enumerate(p.u.c) if v}:
+        image = pows_a[i] * pows_b[d - i]
+        rows[i] = [(k, r) for k, r in enumerate(image.c) if r]
     out = []
     for p in polys:
-        if p.is_zero():
+        if not p.u.c:
             out.append(p)
             continue
         acc = [_C0] * (d + 1)
-        for i, v in p.c.items():
-            row = prods[i]
-            for k in range(d + 1):
-                if row[k]:
-                    acc[k] = acc[k] + v * row[k]
-        out.append(HPoly2(d, {k: c for k, c in enumerate(acc) if c}))
-    return out
-
-
-def hpoly_from_pairs(pairs) -> HPoly2:
-    """Build from (coeff, x_exp, y_exp) triples; degrees must agree."""
-    out = HPoly2()
-    for coeff, i, j in pairs:
-        out = out + HPoly2.term(coeff, i, j)
+        for i, v in enumerate(p.u.c):
+            if v:
+                for k, r in rows[i]:
+                    acc[k] = acc[k] + v * r
+        out.append(HPoly2(d, _upoly(acc)))
     return out
 
 
@@ -784,15 +692,7 @@ class MPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        out = MPoly.const(self.vars, 1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+        return _power(self, n, MPoly.const(self.vars, 1))
 
     def substitute(self, values):
         """Evaluate at ring elements (CycNum, URatFun, MPoly, ...)."""
@@ -830,10 +730,6 @@ class MPoly:
 
 
 POLY3_VARS = ("X", "Y", "Z")
-
-
-def poly3_const(v) -> MPoly:
-    return MPoly.const(POLY3_VARS, v)
 
 
 def poly3_var(name: str) -> MPoly:

@@ -359,9 +359,7 @@ def moebius_through(src: tuple[P1Point, P1Point, P1Point],
     return Moebius(*_adj_mul(_triple_matrix(*dst), _triple_matrix(*src)))
 
 
-def aut_of_lambda(points: list[P1Point], cap: int = 120,
-                  base: tuple[int, int, int] = (0, 1, 2),
-                  reverse: bool = False) -> FinSubgroupH:
+def aut_of_lambda(points: list[P1Point], cap: int = 120) -> FinSubgroupH:
     """All Moebius maps preserving the set, found by triple transport.
 
     Each ordered triple of distinct points is a candidate image of one fixed
@@ -369,22 +367,18 @@ def aut_of_lambda(points: list[P1Point], cap: int = 120,
     filters.  That is r^3 candidate maps checked on up to r points each, so
     the time grows about as r^4: on the r-th roots of unity, r = 8, 12 and
     16 take 0.17 s, 0.8 s and 3.4 s (2-vCPU x86-64 VM, Python 3.11).  More
-    than ``cap`` maps raise :class:`NotFiniteWithinCapError`.  ``base`` and ``reverse`` exist
-    so tests can cross-check with an independent enumeration.
+    than ``cap`` maps raise :class:`NotFiniteWithinCapError`.
     """
     pts = dedupe_points(points)
     if len(pts) < 3:
         raise TooFewPointsError("automorphism search needs at least 3 points")
     pts = sort_points(pts)
-    b = (pts[base[0]], pts[base[1]], pts[base[2]])
     idx = range(len(pts))
     triples = [(i, j, k) for i in idx for j in idx for k in idx
                if i != j and j != k and i != k]
-    if reverse:
-        triples.reverse()
     big = _common_conductor(pts)
     keyset = {point_key(p, big) for p in pts}
-    base_m = _triple_matrix(*b)
+    base_m = _triple_matrix(*pts[:3])
     found: list[Moebius] = []
     for (i, j, k) in triples:
         g = Moebius(*_adj_mul(_triple_matrix(pts[i], pts[j], pts[k]), base_m))

@@ -1,9 +1,10 @@
 """Independent oracles used to freeze expected values.
 
 These deliberately avoid the library's own code paths wherever a value is
-being cross-checked: the stabilizer search uses a different base triple and
-enumeration order, square roots are verified by squaring, and polynomial
-identities are evaluated pointwise at many rational points.
+being cross-checked: the stabilizer search is a triple transport of its own,
+with a different base triple, enumeration order and membership test, square
+roots are verified by squaring, and polynomial identities are evaluated
+pointwise at many rational points.
 """
 from __future__ import annotations
 
@@ -11,23 +12,52 @@ from fractions import Fraction
 
 from equicurve.cyclotomic import CycNum
 from equicurve.equivariant import EndoPair, act_on_pair, contract
-from equicurve.errors import PNotInvariantError
+from equicurve.errors import (
+    NotFiniteWithinCapError,
+    PNotInvariantError,
+    TooFewPointsError,
+)
 from equicurve.poly import HPoly2
 from equicurve.projline import (
     FinSubgroupG,
     FinSubgroupH,
     Moebius,
     P1Point,
-    aut_of_lambda,
+    classify_group,
+    dedupe_points,
+    minimal_generators,
+    moebius_through,
+    sort_moebius,
+    sort_points,
 )
 
 
 def stabilizer_oracle(points: list[P1Point], cap: int = 120) -> FinSubgroupH:
-    """Exhaustive triple search with the last three points as base triple
-    and reversed enumeration order."""
-    n = len(points)
-    return aut_of_lambda(points, cap=cap, base=(n - 1, n - 2, n - 3),
-                         reverse=True)
+    """Exhaustive triple transport, independent of the library's search: the
+    last three points are the base triple, the image triples are enumerated
+    in reversed order, each map comes from ``moebius_through`` and set
+    preservation is tested against a set of points."""
+    pts = sort_points(dedupe_points(points))
+    if len(pts) < 3:
+        raise TooFewPointsError("automorphism search needs at least 3 points")
+    base = (pts[-1], pts[-2], pts[-3])
+    members = set(pts)
+    found: list[Moebius] = []
+    idx = range(len(pts) - 1, -1, -1)
+    for i in idx:
+        for j in idx:
+            for k in idx:
+                if i == j or j == k or i == k:
+                    continue
+                g = moebius_through(base, (pts[i], pts[j], pts[k]))
+                if all(g.apply(p) in members for p in pts):
+                    found.append(g)
+                    if len(found) > cap:
+                        raise NotFiniteWithinCapError(
+                            f"stabilizer exceeded cap {cap}")
+    elements = sort_moebius(found)
+    return FinSubgroupH(elements, minimal_generators(elements),
+                        classify_group(elements))
 
 
 def same_group(h1: FinSubgroupH, h2: FinSubgroupH) -> bool:
@@ -36,17 +66,28 @@ def same_group(h1: FinSubgroupH, h2: FinSubgroupH) -> bool:
     return all(any(g == e for e in h2.elements) for g in h1.elements)
 
 
-def eval_equal(f: HPoly2, g: HPoly2, samples: int = 12) -> bool:
+_SAMPLES = [(Fraction(i, 1), Fraction(1, 1)) for i in range(-3, 4)] + [
+    (Fraction(1, 1), Fraction(0, 1)), (Fraction(2, 3), Fraction(5, 7)),
+    (Fraction(-7, 2), Fraction(1, 3)), (Fraction(11, 5), Fraction(-2, 9)),
+    (Fraction(1, 13), Fraction(17, 4))]
+
+
+def _value(f: HPoly2, a, b) -> CycNum:
+    return f.eval(a, b) if not f.is_zero() else CycNum(0)
+
+
+def eval_equal(f: HPoly2, g: HPoly2, samples: int = 12, mat=None) -> bool:
     """Pointwise comparison at deterministic rational points; an oracle for
-    polynomial equality that does not share code with HPoly2.__eq__."""
-    pts = [(Fraction(i, 1), Fraction(1, 1)) for i in range(-3, 4)]
-    pts += [(Fraction(1, 1), Fraction(0, 1)), (Fraction(2, 3), Fraction(5, 7)),
-            (Fraction(-7, 2), Fraction(1, 3)), (Fraction(11, 5), Fraction(-2, 9)),
-            (Fraction(1, 13), Fraction(17, 4))]
-    for a, b in pts[:samples]:
-        va = f.eval(CycNum(a), CycNum(b)) if not f.is_zero() else CycNum(0)
-        vb = g.eval(CycNum(a), CycNum(b)) if not g.is_zero() else CycNum(0)
-        if va != vb:
+    polynomial equality that does not share code with HPoly2.__eq__.
+
+    With ``mat = (m11, m12, m21, m22)``, ``g`` is evaluated at the moved
+    point ``(m11 a + m12 b, m21 a + m22 b)``: f = g o mat, checked without
+    the library's substitution code."""
+    for a, b in _SAMPLES[:samples]:
+        a, b = CycNum(a), CycNum(b)
+        ga, gb = (a, b) if mat is None else (mat[0] * a + mat[1] * b,
+                                             mat[2] * a + mat[3] * b)
+        if _value(f, a, b) != _value(g, ga, gb):
             return False
     return True
 

@@ -190,8 +190,12 @@ _COR25 = ["cor25", "--a", "1"]
      "got 1000000000000000003"),
     (_PRESET + ["--n", "13", "--group-cap", "12"],
      "parse error: --n must be at most --group-cap (12), got 13"),
+    (["preset", "--kind", "tetrahedral", "--pairs", "(0, 1)", "--n", "3"],
+     "parse error: --n applies to the cyclic and dihedral presets only"),
+    (_PLANAR[:2] + ["x^" + "9" * 40] + _PLANAR[3:],
+     f"parse error: exponent {'9' * 40} at position 2 exceeds 64"),
 ], ids=["conductor-cap", "group-cap", "cap", "k", "n", "k-range", "n-range",
-        "n-huge", "n-above-group-cap"])
+        "n-huge", "n-above-group-cap", "n-tetrahedral", "huge-exponent"])
 def test_bad_integer_flags_exit_2_with_one_line(argv, message, capsys):
     assert run(argv) == (2, message)
     assert main(argv) == 2

@@ -1,0 +1,112 @@
+"""Properties of HPoly2, the (degree, dehomogenization) view over UPoly:
+exact division, gcd and squarefree parts with x^k and y^k factors, and one
+substitution routine for single forms, lists of mixed degrees, and diagonal,
+antidiagonal and generic matrices."""
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from equicurve.cyclotomic import CycNum, euler_phi
+from equicurve.errors import ZeroPolynomialError
+from equicurve.poly import HPoly2, compose_matrix_many
+from oracles import eval_equal
+
+PROPERTY = settings(derandomize=True, max_examples=40, deadline=None)
+X, Y = HPoly2.term(1, 1, 0), HPoly2.term(1, 0, 1)
+
+
+@st.composite
+def scalars(draw, nonzero=False):
+    m = draw(st.sampled_from((1, 1, 4, 3)))
+    cs = draw(st.lists(st.integers(-3, 3), min_size=euler_phi(m),
+                       max_size=euler_phi(m)))
+    v = CycNum.from_coeffs(m, [Fraction(c) for c in cs])
+    return v if v or not nonzero else CycNum(1)
+
+
+@st.composite
+def forms(draw, max_degree=4, zero=False):
+    """Homogeneous forms times x^i y^j, so both valuations vary."""
+    d = draw(st.integers(0, max_degree))
+    coeffs = {i: draw(scalars()) for i in range(d + 1)
+              if draw(st.booleans())}
+    coeffs[draw(st.integers(0, d))] = draw(scalars(nonzero=True))
+    p = HPoly2(d, coeffs)
+    if zero and draw(st.integers(0, 5)) == 0:
+        return HPoly2.zero()
+    return p * X ** draw(st.integers(0, 2)) * Y ** draw(st.integers(0, 2))
+
+
+@st.composite
+def matrices(draw):
+    a, b, c, d = (draw(scalars()) for _ in range(4))
+    shape = draw(st.sampled_from(("diagonal", "antidiagonal", "generic")))
+    if shape == "diagonal":
+        return (a, 0, 0, d)
+    if shape == "antidiagonal":
+        return (0, b, c, 0)
+    return (a, b, c, d)
+
+
+@PROPERTY
+@given(forms(), forms())
+def test_divexact_inverts_mul(p, q):
+    assert (p * q).divexact(q) == p
+    assert (p * q).degree == p.degree + q.degree
+
+
+def test_divexact_checks_the_y_valuation():
+    # x^2 / (x*y): the dehomogenizations divide (x^2 / x), the forms do not
+    with pytest.raises(ZeroPolynomialError):
+        (X * X).divexact(X * Y)
+    with pytest.raises(ZeroPolynomialError):
+        (X * X).divexact(X + Y)
+    assert (X * X * Y).divexact(X * Y) == X
+
+
+@PROPERTY
+@given(forms(), forms(), forms(max_degree=2))
+def test_gcd_is_monic_and_a_common_divisor(p, q, common):
+    a, b = p * common, q * common
+    g = a.gcd(b)
+    assert g.lead() == 1
+    a.divexact(g)
+    b.divexact(g)
+    g.divexact(common)     # the greatest: every common divisor divides it
+    assert g.x_valuation() == min(a.x_valuation(), b.x_valuation())
+    assert g.y_valuation() == min(a.y_valuation(), b.y_valuation())
+
+
+@PROPERTY
+@given(forms(), forms(max_degree=2))
+def test_squarefree_decomp(p, q):
+    f = p * q * q
+    sf, cofactor = f.squarefree_decomp()
+    assert sf * cofactor == f
+    assert sf.lead() == 1
+    assert sf.squarefree_decomp()[1].degree == 0
+    assert sf.x_valuation() == min(f.x_valuation(), 1)
+    assert sf.y_valuation() == min(f.y_valuation(), 1)
+
+
+@PROPERTY
+@given(st.lists(forms(zero=True), min_size=1, max_size=4), matrices())
+def test_compose_matrix_many_matches_single_substitution(polys, mat):
+    many = compose_matrix_many(polys, mat)
+    assert len(many) == len(polys)
+    for p, moved in zip(polys, many):
+        assert moved == p.compose_matrix(mat)
+        assert moved.degree == p.degree or moved.is_zero()
+        assert eval_equal(moved, p, mat=mat)
+
+
+@PROPERTY
+@given(st.lists(forms(), min_size=2, max_size=3), matrices())
+def test_compose_matrix_many_same_degree(polys, mat):
+    # one degree: the forms share the substituted powers and their products
+    top = max(p.degree for p in polys)
+    polys = [p * Y ** (top - p.degree) for p in polys] + [HPoly2.zero()]
+    for p, moved in zip(polys, compose_matrix_many(polys, mat)):
+        assert moved == p.compose_matrix(mat)
+        assert eval_equal(moved, p, mat=mat)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from equicurve.cyclotomic import CycNum
-from equicurve.errors import DegreeMismatchError, ZeroPolynomialError
+from equicurve.errors import DegreeMismatchError, ParseError, ZeroPolynomialError
 from equicurve.parsing import parse_hpoly, parse_poly3, parse_ratfun
 from equicurve.poly import (
     HPoly2,
@@ -182,3 +182,12 @@ def test_squarefree_random_properties():
         assert sf * cof == p              # squarefree part divides p
         sf2, cof2 = sf.squarefree_decomp()
         assert sf2 == sf and cof2.degree == 0   # idempotent
+
+
+def test_parser_bounds_the_exponent():
+    assert parse_hpoly("x^64") == HPoly2.term(1, 64, 0)
+    # the bound is checked before the power, so this returns at once
+    with pytest.raises(ParseError, match="exceeds 64"):
+        parse_ratfun("(1 + x)^" + "9" * 40)
+    with pytest.raises(ParseError, match="exceeds 64"):
+        parse_hpoly("x^65")
