@@ -411,7 +411,15 @@ def run(argv) -> tuple[int, str]:
     if getattr(args, "n", None) is not None and args.n > args.group_cap:
         return 2, (f"parse error: --n must be at most --group-cap "
                    f"({args.group_cap}), got {args.n}")
-    cyclotomic.set_conductor_cap(args.conductor_cap)
+    # the cap is process-global; put the caller's back after the job
+    previous_cap = cyclotomic.set_conductor_cap(args.conductor_cap)
+    try:
+        return _report(args)
+    finally:
+        cyclotomic.set_conductor_cap(previous_cap)
+
+
+def _report(args) -> tuple[int, str]:
     try:
         data = _HANDLERS[args.command](args)
     except ParseError as e:

@@ -27,12 +27,16 @@ from .errors import ConductorCapError
 _conductor_cap = 256
 
 
-def set_conductor_cap(max_degree: int) -> None:
-    """Set the maximal allowed field degree phi(m); default 256."""
+def set_conductor_cap(max_degree: int) -> int:
+    """Set the maximal allowed field degree phi(m); default 256.
+
+    Returns the cap it replaced, so that a caller can put it back.
+    """
     global _conductor_cap
     if max_degree < 1:
         raise ValueError("conductor cap must be positive")
-    _conductor_cap = max_degree
+    previous, _conductor_cap = _conductor_cap, max_degree
+    return previous
 
 
 def _check_cap(m: int) -> None:

@@ -62,11 +62,6 @@ def rep3_mul(m1: Rep3, m2: Rep3) -> Rep3:
     return tuple(out)
 
 
-def rep3_apply(m: Rep3, v) -> tuple[CycNum, CycNum, CycNum]:
-    return tuple(sum((m[3 * i + k] * v[k] for k in range(3)), _C0)
-                 for i in range(3))
-
-
 def rep3_eq(m1: Rep3, m2: Rep3) -> bool:
     return all(x == y for x, y in zip(m1, m2))
 

@@ -32,7 +32,14 @@ from .errors import (
     ZeroPolynomialError,
 )
 from .poly import HPoly2
-from .projline import FinSubgroupG, FinSubgroupH, P1Point, SL2Elem, sl2_pullback
+from .projline import (
+    FinSubgroupG,
+    FinSubgroupH,
+    P1Point,
+    SL2Elem,
+    _adjugate,
+    sl2_pullback,
+)
 
 _C0 = CycNum(0)
 _C1 = CycNum(1)
@@ -69,8 +76,8 @@ def contract(pair: EndoPair) -> HPoly2:
 def act_on_pair(g: SL2Elem, pair: EndoPair) -> EndoPair:
     """The action g . F = g o F o g^(-1) on plane endomorphisms."""
     from .poly import compose_matrix_many
-    mat = g.inverse().entries()
-    u1, u2 = compose_matrix_many((pair.f1, pair.f2), mat)
+    # det g = 1, so g^(-1) is the adjugate; its entries stay reduced
+    u1, u2 = compose_matrix_many((pair.f1, pair.f2), _adjugate(g.entries()))
     return EndoPair(u1.scale(g.a) + u2.scale(g.b), u1.scale(g.c) + u2.scale(g.d))
 
 

@@ -14,7 +14,8 @@ from .cyclotomic import CycNum, euler_phi
 from .errors import ParseError
 from .poly import MPoly, UPoly, URatFun, HPoly2, POLY3_VARS
 
-# the largest exponent accepted in ``expr ^ e``; checked before any power
+# the largest product of the exponents applied to any subexpression, through
+# ``^`` chains and parenthesized nesting; checked before any power
 MAX_EXPONENT = 64
 
 
@@ -56,6 +57,36 @@ def _tokenize(text: str):
     return toks
 
 
+def _check_exponents(toks) -> None:
+    """Bound the product of the exponents applied to any subexpression.
+
+    ``a^e1^e2`` is ``(a^e1)^e2`` and ``(... a^e1 ...)^e2`` contains
+    ``a^(e1*e2)``, so chained and nested exponents multiply.  The check runs
+    on the tokens, before any power is computed; malformed input is left to
+    the parser.
+    """
+    groups = [1]   # per open parenthesis: the largest product inside so far
+    last = 1       # product applied to the operand that ends here
+    for k, t in enumerate(toks):
+        if t.kind == "(":
+            groups.append(1)
+        elif t.kind == ")" and len(groups) > 1:
+            last = groups.pop()
+            groups[-1] = max(groups[-1], last)
+        elif t.kind == "^" and toks[k + 1].kind == "num":
+            e = toks[k + 1].val
+            last *= e
+            if e > MAX_EXPONENT:
+                raise ParseError(f"exponent {e} at position {toks[k + 1].pos} "
+                                 f"exceeds {MAX_EXPONENT}")
+            if last > MAX_EXPONENT:
+                raise ParseError(f"exponent product {last} at position "
+                                 f"{toks[k + 1].pos} exceeds {MAX_EXPONENT}")
+            groups[-1] = max(groups[-1], last)
+        elif t.kind in ("num", "name") and toks[k - 1].kind != "^":
+            last = 1
+
+
 class _Parser:
     """Recursive-descent expression parser over a coefficient environment.
 
@@ -66,6 +97,7 @@ class _Parser:
     def __init__(self, text: str, env: dict, const, divide):
         self.text = text
         self.toks = _tokenize(text)
+        _check_exponents(self.toks)
         self.i = 0
         self.env = env
         self.const = const
@@ -113,11 +145,7 @@ class _Parser:
         v = self.atom()
         while self.peek().kind == "^":
             self.take()
-            t = self.take("num")
-            if t.val > MAX_EXPONENT:
-                raise ParseError(f"exponent {t.val} at position {t.pos} "
-                                 f"exceeds {MAX_EXPONENT}")
-            v = v ** t.val
+            v = v ** self.take("num").val
         return v
 
     def atom(self):

@@ -20,7 +20,15 @@ from .errors import (
     ZeroPolynomialError,
 )
 from .linalg import solve_linear
-from .poly import MPoly, UPoly, URatFun, HPoly2, POLY3_VARS, poly3_var
+from .poly import (
+    MPoly,
+    UPoly,
+    URatFun,
+    HPoly2,
+    POLY3_VARS,
+    poly3_compose,
+    poly3_identity,
+)
 from .projline import Moebius
 
 _C0 = CycNum(0)
@@ -35,34 +43,28 @@ class Aut3:
     label: str = ""
 
     def __post_init__(self):
-        ident = tuple(poly3_var(v) for v in POLY3_VARS)
-        fwd_inv = tuple(f.substitute(self.inverse) for f in self.forward)
-        inv_fwd = tuple(f.substitute(self.forward) for f in self.inverse)
-        if not (all(a == b for a, b in zip(fwd_inv, ident)) and
-                all(a == b for a, b in zip(inv_fwd, ident))):
+        ident = poly3_identity()
+        if not (poly3_compose(self.forward, self.inverse) == ident and
+                poly3_compose(self.inverse, self.forward) == ident):
             raise DegenerateParamsError(
                 f"forward and inverse are not mutually inverse ({self.label})")
 
     def apply(self, triple):
-        return tuple(f.substitute(triple) for f in self.forward)
-
-    def apply_inverse(self, triple):
-        return tuple(f.substitute(triple) for f in self.inverse)
+        return poly3_compose(self.forward, triple)
 
 
 def compose_aut3(outer: Aut3, inner: Aut3) -> Aut3:
     """outer after inner."""
     return Aut3(
-        tuple(f.substitute(inner.forward) for f in outer.forward),
-        tuple(f.substitute(outer.inverse) for f in inner.inverse),
+        poly3_compose(outer.forward, inner.forward),
+        poly3_compose(inner.inverse, outer.inverse),
         label=f"{outer.label} o {inner.label}".strip(" o"),
     )
 
 
 def compose_chain(chain: list[Aut3]) -> Aut3:
     """Compose a chain applied left to right (chain[0] first)."""
-    out = Aut3(tuple(poly3_var(v) for v in POLY3_VARS),
-               tuple(poly3_var(v) for v in POLY3_VARS), label="id")
+    out = Aut3(poly3_identity(), poly3_identity(), label="id")
     for step in chain:
         out = compose_aut3(step, out)
     return out
@@ -148,7 +150,7 @@ def normalize_planar(e: PlanarEmbedding, degree_cap: int = 12):
     Returns (chain, certificate).  The chain is applied left to right; the
     affine repositioning into the (0, Q, R) form is the caller's business.
     """
-    X, Y, Z = (poly3_var(v) for v in POLY3_VARS)
+    X, Y, Z = poly3_identity()
     x = URatFun.x()
     cert = Certificate("planar normalization")
 
@@ -269,7 +271,7 @@ def verify_extension(forward: tuple[MPoly, MPoly, MPoly],
     a, b, c, d = phi.entries()
     phi_rf = URatFun(UPoly([b, a]), UPoly([d, c]))
     tau_phi = tuple(comp.compose(phi_rf) for comp in tau)
-    lhs = tuple(f.substitute(tau_phi) for f in forward)
+    lhs = poly3_compose(forward, tau_phi)
     for i, (u, v) in enumerate(zip(lhs, tau)):
         diff = u - v
         cert.check(f"component {i + 1} residual is zero", diff.is_zero(),

@@ -27,7 +27,7 @@ from .errors import (
     SqrtNotFoundError,
     TrivialAutomorphismError,
 )
-from .poly import HPoly2, MPoly, UPoly, URatFun
+from .poly import HPoly2, MPoly, UPoly, URatFun, _power
 from .projline import (
     Moebius,
     P1Point,
@@ -79,26 +79,13 @@ class CurveAut:
             # order of the induced permutation; a Moebius map fixing three
             # points is the identity, so this is exact
             k = _permutation_order(self.g, self.points)
-            if not _power(self.g, k).is_identity():
+            if not _power(self.g, k, Moebius.identity()).is_identity():
                 raise ArithmeticError(f"{self.g}^{k} is not the identity")
             return k
         if (self.g * self.g).is_identity():
             return 2
         o = self.g.order(cap=120)
         return o if o is not None else _INFINITE
-
-    def fixed_points_on_curve(self):
-        """Materialized fixed points away from the removed set, when they
-        live in a reachable cyclotomic field; None otherwise."""
-        from .projline import fixed_points, ALL_OF_P1
-        try:
-            pts = fixed_points(self.g)
-        except ConstructionError:
-            return None
-        if pts == ALL_OF_P1:
-            return []
-        removed = set(self.points)
-        return [p for p in pts if p not in removed]
 
 
 def _permutation_order(g: Moebius, pts: list[P1Point]) -> int:
@@ -115,13 +102,6 @@ def _permutation_order(g: Moebius, pts: list[P1Point]) -> int:
             j = index[g.apply(pts[j])]
             length += 1
         out = lcm(out, length)
-    return out
-
-
-def _power(g: Moebius, k: int) -> Moebius:
-    out = Moebius.identity()
-    for _ in range(k):
-        out = out * g
     return out
 
 
@@ -150,13 +130,9 @@ def decide_extendability(c: CurveAut):
     if c.g.is_identity():
         raise TrivialAutomorphismError("the identity is trivially extendable")
     if c.fixed_on_curve <= 1:
-        ext = build_affine_extension(c)
-        return Extendable(ext.embedding, ext.extension_desc, ext.certificate,
-                          ext.data)
+        return build_affine_extension(c)
     if c.order == 2:
-        ext = build_involution_extension(c)
-        return Extendable(ext.embedding, ext.extension_desc, ext.certificate,
-                          ext.data)
+        return build_involution_extension(c)
     if c.order != _INFINITE and c.order % 2 == 1:
         return Obstructed(
             "two fixed points on the curve and odd order above one: "
@@ -168,15 +144,7 @@ def decide_extendability(c: CurveAut):
         "(or infinite order): neither construction nor obstruction is known")
 
 
-@dataclass
-class AffineExtension:
-    embedding: tuple[URatFun, URatFun]
-    extension_desc: str
-    certificate: Certificate
-    data: dict
-
-
-def build_affine_extension(c: CurveAut) -> AffineExtension:
+def build_affine_extension(c: CurveAut) -> Extendable:
     """Extendable case with at most one fixed point on the curve.
 
     Moves a fixed point inside the removed set to infinity, where g reads
@@ -218,21 +186,12 @@ def build_affine_extension(c: CurveAut) -> AffineExtension:
     if b:
         first += f" + {b}" if not str(b).startswith("-") else f" - {str(b)[1:]}"
     desc = f"(x, y) -> ({first}, y / ({mu}))"
-    return AffineExtension((emb[0], emb[1]), desc, cert, {
+    return Extendable(emb, desc, cert, {
         "kappa": kappa, "a": a, "b": b, "mu": mu, "P": P,
     })
 
 
-@dataclass
-class InvolutionExtension:
-    curve_equation: MPoly
-    embedding: tuple[URatFun, URatFun]
-    extension_desc: str
-    certificate: Certificate
-    data: dict
-
-
-def build_involution_extension(c: CurveAut) -> InvolutionExtension:
+def build_involution_extension(c: CurveAut) -> Extendable:
     """Order-2 case with both fixed points on the curve.
 
     Conjugates g to t -> 1/t (one square root needed), reads the removed
@@ -315,8 +274,9 @@ def build_involution_extension(c: CurveAut) -> InvolutionExtension:
     cert.check("first coordinate vanishes only at the fixed parameters",
                x_par.num == UPoly([-half, as_cyc(0), half]))
     desc = "(x, y) -> (-x, y)"
-    return InvolutionExtension(curve_eq, emb, desc, cert, {
-        "moebius": full, "lambda": lam, "sqrt": s, "levels": a_vals,
+    return Extendable(emb, desc, cert, {
+        "curve_equation": curve_eq, "moebius": full, "lambda": lam, "sqrt": s,
+        "levels": a_vals,
     })
 
 

@@ -51,10 +51,6 @@ class P1Point:
     def infinity() -> "P1Point":
         return P1Point(1, 0)
 
-    @staticmethod
-    def of(value) -> "P1Point":
-        return P1Point(as_cyc(value), 1)
-
     def is_infinity(self) -> bool:
         return not self.b
 
@@ -91,10 +87,68 @@ def dedupe_points(points: list[P1Point]) -> list[P1Point]:
     return list(dict.fromkeys(points))
 
 
-class Moebius:
-    """Projective 2x2 matrix [[a, b], [c, d]] acting by [x:y] -> [ax+by : cx+dy]."""
+def _mat_mul(m, n):
+    """Product of two 2x2 matrices given as row-major entry tuples."""
+    a, b, c, d = m
+    e, f, g, h = n
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+def _adjugate(m):
+    """Adjugate of a row-major 2x2 matrix: det times the inverse."""
+    a, b, c, d = m
+    return (d, -b, -c, a)
+
+
+class _Mat2:
+    """Immutable 2x2 matrix [[a, b], [c, d]] over CycNum.
+
+    A subclass's ``__init__`` puts the entries in its normal form and stores
+    them with ``_store``; products and inverses are built through it, so
+    they come out in the same form.  Matrices of one kind are equal when
+    their entries are equal as values, whatever their stored conductors.
+    """
 
     __slots__ = ("a", "b", "c", "d")
+
+    def _store(self, entries):
+        for name, v in zip("abcd", entries):
+            object.__setattr__(self, name, v)
+
+    def __setattr__(self, *a):  # pragma: no cover
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @classmethod
+    def identity(cls):
+        return cls(1, 0, 0, 1)
+
+    def entries(self):
+        return (self.a, self.b, self.c, self.d)
+
+    def __mul__(self, other):
+        return type(self)(*_mat_mul(self.entries(), other.entries()))
+
+    def inverse(self):
+        return type(self)(*_adjugate(self.entries()))
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.entries() == other.entries()
+
+    def __hash__(self):
+        return hash(self.entries())
+
+    def __str__(self):
+        return f"[[{self.a}, {self.b}], [{self.c}, {self.d}]]"
+
+    __repr__ = __str__
+
+
+class Moebius(_Mat2):
+    """Projective 2x2 matrix [[a, b], [c, d]] acting by [x:y] -> [ax+by : cx+dy]."""
+
+    __slots__ = ()
 
     def __init__(self, a, b, c, d):
         entries = [as_cyc(v) for v in (a, b, c, d)]
@@ -106,32 +160,10 @@ class Moebius:
             entries = [(v * inv).reduced() for v in entries]
         if not entries[0] * entries[3] - entries[1] * entries[2]:
             raise DegeneratePointsError("Moebius matrix must be invertible")
-        for name, v in zip("abcd", entries):
-            object.__setattr__(self, name, v)
-
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("Moebius is immutable")
-
-    @staticmethod
-    def identity() -> "Moebius":
-        return Moebius(1, 0, 0, 1)
-
-    def entries(self):
-        return (self.a, self.b, self.c, self.d)
+        self._store(entries)
 
     def det(self) -> CycNum:
         return self.a * self.d - self.b * self.c
-
-    def __mul__(self, other: "Moebius") -> "Moebius":
-        return Moebius(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def inverse(self) -> "Moebius":
-        return Moebius(self.d, -self.b, -self.c, self.a)
 
     def apply(self, p: P1Point) -> P1Point:
         return P1Point(self.a * p.a + self.b * p.b, self.c * p.a + self.d * p.b)
@@ -148,77 +180,29 @@ class Moebius:
             g = g * self
         return None
 
-    def __eq__(self, other):
-        if not isinstance(other, Moebius):
-            return NotImplemented
-        return all(x == y for x, y in zip(self.entries(), other.entries()))
-
-    def __hash__(self):
-        return hash(self.entries())
-
-    def __str__(self):
-        return f"[[{self.a}, {self.b}], [{self.c}, {self.d}]]"
-
-    __repr__ = __str__
-
 
 def sort_moebius(elements: list[Moebius]) -> list[Moebius]:
     big = lcm(1, *(v.m for g in elements for v in g.entries()))
     return sorted(elements, key=lambda g: tuple(v.key_under(big) for v in g.entries()))
 
 
-class SL2Elem:
-    """2x2 matrix with determinant exactly 1."""
+class SL2Elem(_Mat2):
+    """2x2 matrix of determinant 1, entries over their minimal conductors."""
 
-    __slots__ = ("a", "b", "c", "d")
+    __slots__ = ()
 
     def __init__(self, a, b, c, d):
         entries = [as_cyc(v).reduced() for v in (a, b, c, d)]
         det = entries[0] * entries[3] - entries[1] * entries[2]
         if det != 1:
             raise DegeneratePointsError(f"determinant {det} is not 1")
-        for name, v in zip("abcd", entries):
-            object.__setattr__(self, name, v)
-
-    def __setattr__(self, *a):  # pragma: no cover
-        raise AttributeError("SL2Elem is immutable")
-
-    @staticmethod
-    def identity() -> "SL2Elem":
-        return SL2Elem(1, 0, 0, 1)
-
-    def entries(self):
-        return (self.a, self.b, self.c, self.d)
+        self._store(entries)
 
     def __neg__(self) -> "SL2Elem":
         return SL2Elem(-self.a, -self.b, -self.c, -self.d)
 
-    def __mul__(self, other: "SL2Elem") -> "SL2Elem":
-        return SL2Elem(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def inverse(self) -> "SL2Elem":
-        return SL2Elem(self.d, -self.b, -self.c, self.a)
-
     def project(self) -> Moebius:
         return Moebius(*self.entries())
-
-    def __eq__(self, other):
-        if not isinstance(other, SL2Elem):
-            return NotImplemented
-        return all(x == y for x, y in zip(self.entries(), other.entries()))
-
-    def __hash__(self):
-        return hash(self.entries())
-
-    def __str__(self):
-        return f"[[{self.a}, {self.b}], [{self.c}, {self.d}]]"
-
-    __repr__ = __str__
 
 
 # ---------------------------------------------------------------------------
@@ -261,12 +245,12 @@ class FinSubgroupH:
 class FinSubgroupG:
     """Pullback of a FinSubgroupH under SL(2) -> PGL(2); order doubles.
 
-    Built by :func:`sl2_pullback`, whose (lift, -lift) layout
-    :func:`equivariant.reynolds_average` relies on.
+    Built by :func:`sl2_pullback` in a (lift, -lift) layout: ``elements[i]``
+    projects to ``h.elements[i // 2]``.  :func:`equivariant.reynolds_average`
+    relies on it.
     """
 
     elements: list[SL2Elem]
-    projections: list[Moebius]   # aligned with elements
     generators: list[SL2Elem]
     h: FinSubgroupH
 
@@ -346,17 +330,11 @@ def _triple_matrix(p1: P1Point, p2: P1Point, p3: P1Point):
     return (lam * p1.b, -lam * p1.a, mu * p3.b, -mu * p3.a)
 
 
-def _adj_mul(m, n):
-    # adjugate(m) @ n, entrywise
-    a, b, c, d = m
-    return (d * n[0] - b * n[2], d * n[1] - b * n[3],
-            a * n[2] - c * n[0], a * n[3] - c * n[1])
-
-
 def moebius_through(src: tuple[P1Point, P1Point, P1Point],
                     dst: tuple[P1Point, P1Point, P1Point]) -> Moebius:
     """The unique Moebius map with src_i -> dst_i (triples of distinct points)."""
-    return Moebius(*_adj_mul(_triple_matrix(*dst), _triple_matrix(*src)))
+    return Moebius(*_mat_mul(_adjugate(_triple_matrix(*dst)),
+                             _triple_matrix(*src)))
 
 
 def aut_of_lambda(points: list[P1Point], cap: int = 120) -> FinSubgroupH:
@@ -381,7 +359,8 @@ def aut_of_lambda(points: list[P1Point], cap: int = 120) -> FinSubgroupH:
     base_m = _triple_matrix(*pts[:3])
     found: list[Moebius] = []
     for (i, j, k) in triples:
-        g = Moebius(*_adj_mul(_triple_matrix(pts[i], pts[j], pts[k]), base_m))
+        g = Moebius(*_mat_mul(
+            _adjugate(_triple_matrix(pts[i], pts[j], pts[k])), base_m))
         if all(point_key(g.apply(p), big) in keyset for p in pts):
             found.append(g)
             if len(found) > cap:
@@ -399,7 +378,6 @@ def sl2_pullback(h: FinSubgroupH) -> FinSubgroupG:
     order of ``h.elements``, so ``elements[::2]`` is one lift of each.
     """
     elements: list[SL2Elem] = []
-    projections: list[Moebius] = []
     for g in h.elements:
         s = try_sqrt(g.det().inverse())
         if s is None:
@@ -407,13 +385,11 @@ def sl2_pullback(h: FinSubgroupH) -> FinSubgroupG:
                 f"no square root found for 1/det = {g.det().inverse()} "
                 f"of element {g}")
         lift = SL2Elem(s * g.a, s * g.b, s * g.c, s * g.d)
-        for cand in (lift, -lift):
-            elements.append(cand)
-            projections.append(g)
+        elements += (lift, -lift)
     index = {g: i for i, g in enumerate(h.elements)}
     gens = [elements[2 * index[g]] for g in h.generators]
     gens.append(-SL2Elem.identity())
-    return FinSubgroupG(elements, projections, gens, h)
+    return FinSubgroupG(elements, gens, h)
 
 
 def orbit_decompose(h: FinSubgroupH, points: list[P1Point]) -> list[list[P1Point]]:

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from equicurve.cli import main, run
+from equicurve.cyclotomic import root_of_unity
 
 
 def test_embed_reference_invocation():
@@ -194,13 +195,30 @@ _COR25 = ["cor25", "--a", "1"]
      "parse error: --n applies to the cyclic and dihedral presets only"),
     (_PLANAR[:2] + ["x^" + "9" * 40] + _PLANAR[3:],
      f"parse error: exponent {'9' * 40} at position 2 exceeds 64"),
+    (_PLANAR[:2] + ["(1 + x)^64^64"] + _PLANAR[3:],
+     "parse error: exponent product 4096 at position 11 exceeds 64"),
+    (_PLANAR[:2] + ["((1 + x)^8)^9"] + _PLANAR[3:],
+     "parse error: exponent product 72 at position 12 exceeds 64"),
+    (["cor25", "--k", "2", "--a", "1, 2^64^64^64^64^64"],
+     "parse error: exponent product 4096 at position 5 exceeds 64"),
 ], ids=["conductor-cap", "group-cap", "cap", "k", "n", "k-range", "n-range",
-        "n-huge", "n-above-group-cap", "n-tetrahedral", "huge-exponent"])
+        "n-huge", "n-above-group-cap", "n-tetrahedral", "huge-exponent",
+        "chained-exponent", "nested-exponent", "chained-constant-exponent"])
 def test_bad_integer_flags_exit_2_with_one_line(argv, message, capsys):
     assert run(argv) == (2, message)
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert (out, err) == (message + "\n", "")
+
+
+def test_run_restores_the_conductor_cap():
+    # the cap is process-global; a job's --conductor-cap must not outlive
+    # the job, whether it ends in a report or in an error
+    jobs = [(_AUT, 0),
+            (["aut", "--lambda", "[cyc(8; 0, 1) : 1],[0:1],[1:0]"], 3)]
+    for argv, status in jobs:
+        assert run(argv + ["--conductor-cap", "1"])[0] == status
+        assert root_of_unity(8) ** 8 == 1
 
 
 def test_integer_flags_accept_what_int_accepts():

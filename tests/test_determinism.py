@@ -1,7 +1,12 @@
+import importlib.util
+import json
 import os
 import random
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 from equicurve.cyclotomic import CycNum, root_of_unity
 from equicurve.parsing import parse_constant, parse_hpoly, parse_ratfun
@@ -39,6 +44,27 @@ def test_reports_identical_under_python_optimize():
     # python -O strips asserts; no check the reports depend on may live there
     for job in JOBS[:2]:
         assert _run_with_seed(job, 0, "-O") == _run_with_seed(job, 0), job
+
+
+# the benchmark's CLI job list, run function and frozen exit+stdout digests
+_PATH = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+_spec = importlib.util.spec_from_file_location("bench_workloads", _PATH)
+workloads = importlib.util.module_from_spec(_spec)
+sys.modules[_spec.name] = workloads   # dataclasses look the module up
+_spec.loader.exec_module(workloads)
+CLI_DIGESTS = json.loads(workloads.DIGESTS.read_text())
+
+
+@pytest.mark.parametrize("index", range(len(workloads.CLI_JOBS)), ids=[
+    f"{i}-{argv[0]}" for i, argv in enumerate(workloads.CLI_JOBS)])
+def test_cli_report_matches_frozen_digest(index):
+    # half of the jobs under each hash seed, so both seeds are covered
+    argv = workloads.CLI_JOBS[index]
+    env = workloads.cli_env((11, 4242)[index % 2])
+    status, out, err, _ = workloads.run_cli(
+        [sys.executable, "-m", "equicurve.cli", *argv], env)
+    assert err == b"", err.decode()
+    assert workloads.digest(status, out) == CLI_DIGESTS[" ".join(argv)], argv
 
 
 def rand_cyc(rng, m):

@@ -5,7 +5,12 @@ import pytest
 
 from equicurve.cyclotomic import CycNum
 from equicurve.errors import DegreeMismatchError, ParseError, ZeroPolynomialError
-from equicurve.parsing import parse_hpoly, parse_poly3, parse_ratfun
+from equicurve.parsing import (
+    parse_constant,
+    parse_hpoly,
+    parse_poly3,
+    parse_ratfun,
+)
 from equicurve.poly import (
     HPoly2,
     UPoly,
@@ -191,3 +196,14 @@ def test_parser_bounds_the_exponent():
         parse_ratfun("(1 + x)^" + "9" * 40)
     with pytest.raises(ParseError, match="exceeds 64"):
         parse_hpoly("x^65")
+    # chained and nested exponents multiply, and their product is bounded
+    # before any power is computed
+    assert parse_hpoly("(x^8)^8") == HPoly2.term(1, 64, 0)
+    # exponents of separate factors do not multiply
+    assert parse_hpoly("x^40 * (x^8)^8 * y^60") == HPoly2.term(1, 104, 60)
+    for text in ("(1 + x)^64^64", "((1 + x)^8)^9", "(((1 + x)^8))^9",
+                 "((1 + x)^2 * x)^64"):
+        with pytest.raises(ParseError, match="exponent product .* exceeds 64"):
+            parse_ratfun(text)
+    with pytest.raises(ParseError, match="product 4096 at position 5 exceeds"):
+        parse_constant("2^64^64^64^64^64")
