@@ -35,9 +35,6 @@ from .errors import (
 from .poly import HPoly2, MPoly, URatFun, compose_matrix_many, poly3_var
 from .projline import FinSubgroupG, FinSubgroupH, Moebius, P1Point, group_closure
 
-_C0 = CycNum(0)
-_C1 = CycNum(1)
-
 Rep3 = tuple  # 9 CycNum entries, row-major
 
 
@@ -51,19 +48,6 @@ def rep3(h: Moebius) -> Rep3:
         s * (2 * a * b), s * (a * a), s * (b * b),
         s * (2 * c * d), s * (c * c), s * (d * d),
     )
-
-
-def rep3_mul(m1: Rep3, m2: Rep3) -> Rep3:
-    out = []
-    for i in range(3):
-        for j in range(3):
-            out.append(sum((m1[3 * i + k] * m2[3 * k + j] for k in range(3)),
-                           _C0))
-    return tuple(out)
-
-
-def rep3_eq(m1: Rep3, m2: Rep3) -> bool:
-    return all(x == y for x, y in zip(m1, m2))
 
 
 def to_quadric(p: P1Point, q: P1Point) -> tuple[CycNum, CycNum, CycNum]:

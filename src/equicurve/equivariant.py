@@ -6,8 +6,13 @@ self-map [x:y] -> [f1 : f2].  The construction works orbit by orbit:
 
 * the orbit polynomial p (squarefree, roots = orbit) is a semi-invariant
   of the SL(2) pullback G; some power P = p^d is G-fixed;
-* P splits as f1*y - f2*x for a pair (f1, f2), and averaging the pair over
-  G makes it G-fixed without changing the contraction;
+* P splits as f1*y - f2*x for a pair (f1, f2), and the Reynolds average of
+  the pair over G is G-fixed with the same contraction.  It has a closed
+  form: SL(2) = Sp(2), so the symplectic gradient (1/n)(dP/dy, -dP/dx) is
+  G-fixed and contracts to P by Euler's identity, and the average differs
+  from it by (x Q, y Q) for a G-invariant Q of degree n - 2, which is
+  averaged only when Molien's formula says such invariants exist
+  (Sturmfels, *Algorithms in Invariant Theory*, 2.2);
 * the per-orbit pairs combine into one pair whose contraction is the
   product of all the P_i, and whose reduced form has fixed locus exactly
   the prescribed set.
@@ -31,7 +36,7 @@ from .errors import (
     PNotInvariantError,
     ZeroPolynomialError,
 )
-from .poly import HPoly2
+from .poly import HPoly2, UPoly
 from .projline import (
     FinSubgroupG,
     FinSubgroupH,
@@ -135,16 +140,60 @@ def split_pair(P: HPoly2) -> EndoPair:
     return EndoPair(f1, HPoly2.term(-top, d - 1, 0))
 
 
+def invariant_dimension(G: FinSubgroupG, k: int) -> int:
+    """Dimension of the G-fixed forms of degree k, by Molien's formula.
+
+    The character of Sym^k at g is the Chebyshev sum S_k(t) in t = tr g,
+    with S_0 = 1, S_1 = t and S_(j+1) = t S_j - S_(j-1).  -I acts on degree
+    k by (-1)^k, so odd degrees have no invariants and for even k the sum
+    over G is twice the sum over the lifts ``G.elements[::2]``; k products
+    per lift.  The count must be |H| times a non-negative integer.
+    """
+    if k % 2:
+        return 0
+    lifts = G.elements[::2]
+    total = _C0
+    for g in lifts:
+        t = g.a + g.d
+        prev, cur = _C0, _C1
+        for _ in range(k):
+            prev, cur = cur, t * cur - prev
+        total = total + cur
+    dim = total.as_fraction() / len(lifts) if total.is_rational() else None
+    if dim is None or dim.denominator != 1 or dim < 0:
+        raise ArithmeticError(
+            f"Molien count {total} is not {len(lifts)} times a natural number")
+    return int(dim)
+
+
+def hamiltonian_pair(P: HPoly2) -> EndoPair:
+    """The symplectic gradient (1/n)(dP/dy, -dP/dx) of a form of degree n.
+
+    Its contraction is P by Euler's identity x dP/dx + y dP/dy = n P, and
+    since SL(2) = Sp(2) it is fixed by every element of SL(2) fixing P.
+    """
+    n = P.degree
+    u = P.dehomogenize()
+    du = u.derivative() * Fraction(1, n)   # (1/n) dP/dx at y = 1
+    # at y = 1, (1/n) dP/dy = P - x (1/n) dP/dx by Euler's identity
+    return EndoPair(HPoly2(n - 1, u - UPoly.x() * du), HPoly2(n - 1, -du))
+
+
 def reynolds_average(pair: EndoPair, G: FinSubgroupG) -> EndoPair:
     """Average of the G-orbit of the pair; G-fixed, same contraction.
 
-    Precondition (checked): the contraction of the pair is G-fixed.
+    Precondition (checked): the contraction P of the pair is G-fixed.
 
-    -I acts on a pair of degree n by (-1)^(n+1).  So the G-orbit sum is
-    twice the sum over one lift per element of H (``G.elements[::2]``, see
-    :func:`sl2_pullback`) when n is odd, and zero when n is even; the
-    average runs over the lifts only.  -I is a generator of G, so a nonzero
-    contraction that passes the check has even degree, and then n is odd.
+    Computed in closed form (Sturmfels, *Algorithms in Invariant Theory*,
+    2.2).  -I acts on a pair of degree n - 1 by (-1)^n, so the average is
+    zero when n - 1 is even; -I is a generator of G, so a nonzero
+    contraction that passes the check has even degree n.  Otherwise the
+    symplectic gradient hP of P is G-fixed with contraction P, and the pair
+    minus hP contracts to zero, so it is (x Q0, y Q0) for a form Q0 of
+    degree n - 2.  The average is then hP + (x R(Q0), y R(Q0)), where R(Q0)
+    is the average of Q0 under the lifts ``G.elements[::2]`` (see
+    :func:`sl2_pullback`); it is skipped when Molien's formula finds no
+    G-fixed form of degree n - 2.
     """
     P = contract(pair)
     for g in G.generators:
@@ -153,13 +202,17 @@ def reynolds_average(pair: EndoPair, G: FinSubgroupG) -> EndoPair:
                 "contraction is not fixed by the group; cannot average")
     if pair.degree % 2 == 0:
         return EndoPair(HPoly2.zero(), HPoly2.zero())
+    hp = hamiltonian_pair(P)
+    q0 = (pair.f1 - hp.f1).divexact(HPoly2.term(1, 1, 0))
+    if not q0 or not invariant_dimension(G, q0.degree):
+        return hp
     lifts = G.elements[::2]
-    acc1, acc2 = HPoly2.zero(), HPoly2.zero()
+    acc = HPoly2.zero()
     for g in lifts:
-        moved = act_on_pair(g, pair)
-        acc1, acc2 = acc1 + moved.f1, acc2 + moved.f2
-    s = CycNum(Fraction(1, len(lifts)))
-    return EndoPair(acc1.scale(s), acc2.scale(s))
+        acc = acc + q0.compose_matrix(g.entries())
+    q = acc.scale(CycNum(Fraction(1, len(lifts))))
+    return EndoPair(hp.f1 + q * HPoly2.term(1, 1, 0),
+                    hp.f2 + q * HPoly2.term(1, 0, 1))
 
 
 @dataclass

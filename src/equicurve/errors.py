@@ -13,6 +13,10 @@ class ParseError(EquicurveError):
     """Malformed textual input."""
 
 
+class InputBoundError(ParseError):
+    """An input implies more work than a fixed bound allows."""
+
+
 class ConstructionError(EquicurveError):
     """A construction's preconditions are violated or a search failed."""
 

@@ -9,14 +9,18 @@ and ``X, Y, Z`` (space maps).  Points are ``[expr : expr]``, 2x2 matrices
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 from .cyclotomic import CycNum, euler_phi
-from .errors import ParseError
+from .errors import InputBoundError, ParseError
 from .poly import MPoly, UPoly, URatFun, HPoly2, POLY3_VARS
 
 # the largest product of the exponents applied to any subexpression, through
 # ``^`` chains and parenthesized nesting; checked before any power
 MAX_EXPONENT = 64
+# the largest number of terms a product or power of multivariate
+# polynomials may have; its upper bound is checked before it is computed
+MAX_TERMS = 2048
 
 
 class _Tok:
@@ -87,6 +91,19 @@ def _check_exponents(toks) -> None:
             last = 1
 
 
+def _check_terms(v: MPoly, count: int, degree: int, what: str) -> None:
+    """Raise if a product may have more than MAX_TERMS terms.
+
+    Its term count is at most ``count``, and at most the number of monomials
+    of total degree ``degree`` or less in the variables of ``v``.
+    """
+    k = len(v.vars)
+    bound = min(count, comb(degree + k, k)) if degree >= 0 else 0
+    if bound > MAX_TERMS:
+        raise InputBoundError(f"{what} may have {bound} terms, "
+                              f"more than {MAX_TERMS}")
+
+
 class _Parser:
     """Recursive-descent expression parser over a coefficient environment.
 
@@ -136,16 +153,29 @@ class _Parser:
     def term(self):
         v = self.power()
         while self.peek().kind in "*/":
-            op = self.take().kind
+            op = self.take()
             rhs = self.power()
-            v = v * rhs if op == "*" else self.divide(v, rhs)
+            if op.kind == "/":
+                v = self.divide(v, rhs)
+                continue
+            if isinstance(v, MPoly):
+                _check_terms(v, len(v.c) * len(rhs.c),
+                             v.total_degree() + rhs.total_degree(),
+                             f"product at position {op.pos}")
+            v = v * rhs
         return v
 
     def power(self):
         v = self.atom()
         while self.peek().kind == "^":
             self.take()
-            v = v ** self.take("num").val
+            e = self.take("num")
+            if isinstance(v, MPoly) and v.c:
+                # a term of v^e is a multiset of e terms of v
+                _check_terms(v, comb(len(v.c) + e.val - 1, e.val),
+                             e.val * v.total_degree(),
+                             f"power at position {e.pos}")
+            v = v ** e.val
         return v
 
     def atom(self):

@@ -15,6 +15,7 @@ from .certificates import Certificate
 from .cyclotomic import CycNum, as_cyc
 from .errors import (
     DegenerateParamsError,
+    InputBoundError,
     PoleConditionError,
     WitnessNotFoundError,
     ZeroPolynomialError,
@@ -32,6 +33,13 @@ from .poly import (
 from .projline import Moebius
 
 _C0 = CycNum(0)
+
+# bounds on substituting tau into a component of F with T terms, checked
+# before any product: D bounds the degree of the numerator and the common
+# denominator of the result, and of the residual whose gcd a failing check
+# prints; T * D^2 estimates the coefficient products of the substitution
+MAX_SUBSTITUTION_DEGREE = 40
+MAX_SUBSTITUTION_WORK = 2 ** 18
 
 
 @dataclass
@@ -247,8 +255,21 @@ def verify_extension(forward: tuple[MPoly, MPoly, MPoly],
     """Exact identity F(tau(phi(x))) = tau(x) for a curve automorphism phi.
 
     phi must preserve the pole set of tau on P^1 (checked through the
-    squarefree pole form, so roots never need to be extracted).
+    squarefree pole form, so roots never need to be extracted).  Raises
+    :class:`InputBoundError` before any product when the substitution would
+    exceed ``MAX_SUBSTITUTION_DEGREE`` or ``MAX_SUBSTITUTION_WORK``.
     """
+    # phi keeps the degree of each component of tau
+    tau_degrees = [max(t.num.degree, t.den.degree, 0) for t in tau]
+    for i, f in enumerate(forward):
+        D = sum(k * deg for k, deg in zip(_degrees(f), tau_degrees))
+        if (D > MAX_SUBSTITUTION_DEGREE
+                or len(f.c) * D * D > MAX_SUBSTITUTION_WORK):
+            raise InputBoundError(
+                f"substituting tau into component {i + 1} of F implies degree "
+                f"D = {D} over T = {len(f.c)} terms; the bounds are "
+                f"D <= {MAX_SUBSTITUTION_DEGREE} and "
+                f"T * D^2 <= {MAX_SUBSTITUTION_WORK}")
     cert = Certificate("extension identity F o tau o phi = tau")
     pole = UPoly.const(1)
     infinite_pole = False
@@ -271,9 +292,37 @@ def verify_extension(forward: tuple[MPoly, MPoly, MPoly],
     a, b, c, d = phi.entries()
     phi_rf = URatFun(UPoly([b, a]), UPoly([d, c]))
     tau_phi = tuple(comp.compose(phi_rf) for comp in tau)
-    lhs = poly3_compose(forward, tau_phi)
-    for i, (u, v) in enumerate(zip(lhs, tau)):
-        diff = u - v
+    for i, (f, v) in enumerate(zip(forward, tau)):
+        num, den = _substitute(f, tau_phi)
+        diff = URatFun(num * v.den - v.num * den, den * v.den)
         cert.check(f"component {i + 1} residual is zero", diff.is_zero(),
                    witness=f"residual {diff}")
     return cert
+
+
+def _degrees(f: MPoly) -> list[int]:
+    """The degree of f in each of its variables."""
+    return [max((e[j] for e in f.c), default=0) for j in range(len(f.vars))]
+
+
+def _substitute(f: MPoly, values) -> tuple[UPoly, UPoly]:
+    """f at rational functions, as a numerator over the common denominator
+    prod_j den_j^(k_j), k_j the degree of f in variable j; no gcd is taken,
+    so the work is polynomial products only."""
+    ks = _degrees(f)
+    nums = [[UPoly.const(1)] for _ in ks]
+    dens = [[UPoly.const(1)] for _ in ks]
+    for j, (k, v) in enumerate(zip(ks, values)):
+        for _ in range(k):
+            nums[j].append(nums[j][-1] * v.num)
+            dens[j].append(dens[j][-1] * v.den)
+    total = UPoly()
+    for e, coeff in f.c.items():
+        term = UPoly.const(coeff)
+        for j, k in enumerate(e):
+            term = term * nums[j][k] * dens[j][ks[j] - k]
+        total = total + term
+    den = UPoly.const(1)
+    for j, k in enumerate(ks):
+        den = den * dens[j][k]
+    return total, den

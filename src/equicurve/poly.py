@@ -155,9 +155,6 @@ class UPoly:
     def __mod__(self, other):
         return self.divmod(other)[1]
 
-    def __floordiv__(self, other):
-        return self.divmod(other)[0]
-
     def divexact(self, other: "UPoly") -> "UPoly":
         q, r = self.divmod(other)
         if not r.is_zero():

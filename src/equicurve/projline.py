@@ -247,7 +247,8 @@ class FinSubgroupG:
 
     Built by :func:`sl2_pullback` in a (lift, -lift) layout: ``elements[i]``
     projects to ``h.elements[i // 2]``.  :func:`equivariant.reynolds_average`
-    relies on it.
+    and :func:`equivariant.invariant_dimension` sum over the lifts
+    ``elements[::2]``.
     """
 
     elements: list[SL2Elem]

@@ -92,6 +92,16 @@ def eval_equal(f: HPoly2, g: HPoly2, samples: int = 12, mat=None) -> bool:
     return True
 
 
+def rep3_mul(m1: tuple, m2: tuple) -> tuple:
+    """Product of two 3x3 matrices given as 9 entries, row-major."""
+    return tuple(sum((m1[3 * i + k] * m2[3 * k + j] for k in range(3)),
+                     CycNum(0)) for i in range(3) for j in range(3))
+
+
+def rep3_eq(m1: tuple, m2: tuple) -> bool:
+    return all(x == y for x, y in zip(m1, m2))
+
+
 def brute_force_orbit(g_list: list[Moebius], p: P1Point) -> list[P1Point]:
     out = [p]
     changed = True
@@ -123,3 +133,45 @@ def reynolds_average_full_group(pair: EndoPair, G: FinSubgroupG) -> EndoPair:
             acc2 if moved.f2.is_zero() else acc2 + moved.f2)
     s = CycNum(Fraction(1, len(G.elements)))
     return EndoPair(acc1.scale(s), acc2.scale(s))
+
+
+def _rank(rows: list[list[CycNum]]) -> int:
+    """Rank by plain Gaussian elimination over CycNum."""
+    rows = [list(r) for r in rows if any(r)]
+    rank, col, width = 0, 0, len(rows[0]) if rows else 0
+    while rank < len(rows) and col < width:
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            col += 1
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = rows[rank][col].inverse()
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] * inv
+            if f:
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+        col += 1
+    return rank
+
+
+def invariant_dimensions_oracle(G: FinSubgroupG, degrees) -> dict[int, int]:
+    """Dimension of the G-fixed forms of each degree k, brute force: the
+    rank of the averages over every element of G (-I included) of the k + 1
+    monomials of degree k.  A form of degree k is taken by its values at the
+    k + 1 points (j, 1), j = 0..k, which determine it."""
+    top = max(degrees)
+    sums = {k: [[CycNum(0)] * (k + 1) for _ in range(k + 1)] for k in degrees}
+    for g in G.elements:
+        a, b, c, d = g.entries()
+        for j in range(top + 1):
+            u, v = a * j + b, c * j + d
+            pu, pv = [CycNum(1)], [CycNum(1)]
+            for _ in range(top):
+                pu.append(pu[-1] * u)
+                pv.append(pv[-1] * v)
+            for k, rows in sums.items():
+                if j <= k:
+                    for i, row in enumerate(rows):
+                        row[j] = row[j] + pu[i] * pv[k - i]
+    return {k: _rank(rows) for k, rows in sums.items()}

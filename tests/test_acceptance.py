@@ -20,8 +20,6 @@ from equicurve.embed3 import (
     from_quadric,
     preset_family,
     rep3,
-    rep3_eq,
-    rep3_mul,
     standard_group,
     to_quadric,
     verify_quadric_equivariance,
@@ -62,7 +60,13 @@ from equicurve.projline import (
     sl2_pullback,
     sort_points,
 )
-from oracles import reynolds_average_full_group, same_group, stabilizer_oracle
+from oracles import (
+    rep3_eq,
+    rep3_mul,
+    reynolds_average_full_group,
+    same_group,
+    stabilizer_oracle,
+)
 
 W = root_of_unity(3)
 I4 = root_of_unity(4)

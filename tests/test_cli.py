@@ -172,6 +172,8 @@ _AUT = ["aut", "--lambda", "[0:1],[1:1],[1:0],[2:1]"]
 _PLANAR = ["planar-normalize", "--P", "x", "--Q", "1/x", "--R", "x + 1/x"]
 _PRESET = ["preset", "--kind", "cyclic", "--pairs", "(1, 2)"]
 _COR25 = ["cor25", "--a", "1"]
+_EXTEND = ["verify-extension", "--F", "X; Y; Z", "--tau", "x; 1/(x^2 - x); 0",
+           "--phi", "[[1,0],[0,1]]"]
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -201,9 +203,18 @@ _COR25 = ["cor25", "--a", "1"]
      "parse error: exponent product 72 at position 12 exceeds 64"),
     (["cor25", "--k", "2", "--a", "1, 2^64^64^64^64^64"],
      "parse error: exponent product 4096 at position 5 exceeds 64"),
+    (_EXTEND[:2] + ["(X + Y + Z + 1)^32; Y; Z"] + _EXTEND[3:],
+     "parse error: power at position 16 may have 6545 terms, more than 2048"),
+    (_EXTEND[:2] + ["(1 + X)^64*(1 + Y)^64; Y; Z"] + _EXTEND[3:],
+     "parse error: product at position 10 may have 4225 terms, more than 2048"),
+    (_EXTEND[:2] + ["X; Y^21; Z"] + _EXTEND[3:],
+     "parse error: substituting tau into component 2 of F implies degree "
+     "D = 42 over T = 1 terms; the bounds are D <= 40 and "
+     "T * D^2 <= 262144"),
 ], ids=["conductor-cap", "group-cap", "cap", "k", "n", "k-range", "n-range",
         "n-huge", "n-above-group-cap", "n-tetrahedral", "huge-exponent",
-        "chained-exponent", "nested-exponent", "chained-constant-exponent"])
+        "chained-exponent", "nested-exponent", "chained-constant-exponent",
+        "many-terms-power", "many-terms-product", "substitution-degree"])
 def test_bad_integer_flags_exit_2_with_one_line(argv, message, capsys):
     assert run(argv) == (2, message)
     assert main(argv) == 2

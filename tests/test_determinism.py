@@ -67,6 +67,24 @@ def test_cli_report_matches_frozen_digest(index):
     assert workloads.digest(status, out) == CLI_DIGESTS[" ".join(argv)], argv
 
 
+# embed and delta over Q(i), Q(zeta_3) and Q(zeta_5), with the group and
+# the points in different fields, so that coefficients are stored at mixed
+# conductors; digests frozen from the closed-form orbit pairs
+MIXED_FIELD_JOBS = json.loads(
+    (Path(__file__).resolve().parent / "mixed_field_digests.json").read_text())
+
+
+@pytest.mark.parametrize("index", range(len(MIXED_FIELD_JOBS)), ids=[
+    f"{i}-{job['argv'][0]}" for i, job in enumerate(MIXED_FIELD_JOBS)])
+def test_mixed_field_report_matches_frozen_digest(index):
+    job = MIXED_FIELD_JOBS[index]
+    env = workloads.cli_env((11, 4242)[index % 2])
+    status, out, err, _ = workloads.run_cli(
+        [sys.executable, "-m", "equicurve.cli", *job["argv"]], env)
+    assert err == b"", err.decode()
+    assert workloads.digest(status, out) == job["digest"], job["argv"]
+
+
 def rand_cyc(rng, m):
     from equicurve.cyclotomic import euler_phi
     from fractions import Fraction

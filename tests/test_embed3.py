@@ -12,8 +12,6 @@ from equicurve.embed3 import (
     preset_family,
     punctured_line_embedding,
     rep3,
-    rep3_eq,
-    rep3_mul,
     standard_group,
     to_quadric,
     verify_embedding,
@@ -28,6 +26,7 @@ from equicurve.errors import (
 )
 from equicurve.parsing import parse_hpoly
 from equicurve.projline import Moebius, P1Point
+from oracles import rep3_eq, rep3_mul
 
 W = root_of_unity(3)
 I4 = root_of_unity(4)

@@ -3,8 +3,17 @@ import random
 import pytest
 
 from equicurve.cyclotomic import as_cyc
-from equicurve.errors import DegenerateParamsError, WitnessNotFoundError
-from equicurve.parsing import parse_ratfun, parse_ratfun_triple, parse_upoly
+from equicurve.errors import (
+    DegenerateParamsError,
+    InputBoundError,
+    WitnessNotFoundError,
+)
+from equicurve.parsing import (
+    parse_poly3,
+    parse_ratfun,
+    parse_ratfun_triple,
+    parse_upoly,
+)
 from equicurve.planar import (
     Aut3,
     PlanarEmbedding,
@@ -174,3 +183,17 @@ def test_extension_rejects_pole_set_violation():
     shift = Moebius(1, 5, 0, 1)  # x -> x + 5 moves the poles
     cert = verify_extension(ident, tau, shift)
     assert not cert.clauses[0].ok
+
+
+def test_verify_extension_bounds_the_substitution():
+    tau = parse_ratfun_triple("x; 1/(x^2 - 2); 1/(x - 3)")
+    ident = tuple(poly3_var(v) for v in POLY3_VARS)
+    for F in ((parse_poly3("Y^20"), ident[1], ident[2]),          # D = 40
+              (parse_poly3("(X + Y + Z + 1)^8"), ident[1], ident[2])):
+        assert not verify_extension(F, tau, Moebius.identity()).ok
+    for F, match in (((ident[0], parse_poly3("Y^21"), ident[2]),
+                      "component 2 of F implies degree D = 42 over T = 1"),
+                     ((parse_poly3("(X + Y + Z + 1)^9"), ident[1], ident[2]),
+                      "component 1 of F implies degree D = 36 over T = 220")):
+        with pytest.raises(InputBoundError, match=match):
+            verify_extension(F, tau, Moebius.identity())

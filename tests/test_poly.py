@@ -4,12 +4,18 @@ from fractions import Fraction
 import pytest
 
 from equicurve.cyclotomic import CycNum
-from equicurve.errors import DegreeMismatchError, ParseError, ZeroPolynomialError
+from equicurve.errors import (
+    DegreeMismatchError,
+    InputBoundError,
+    ParseError,
+    ZeroPolynomialError,
+)
 from equicurve.parsing import (
     parse_constant,
     parse_hpoly,
     parse_poly3,
     parse_ratfun,
+    parse_upoly,
 )
 from equicurve.poly import (
     HPoly2,
@@ -207,3 +213,20 @@ def test_parser_bounds_the_exponent():
             parse_ratfun(text)
     with pytest.raises(ParseError, match="product 4096 at position 5 exceeds"):
         parse_constant("2^64^64^64^64^64")
+
+
+def test_parser_bounds_the_terms_of_a_product():
+    # a power of t terms has at most C(t + e - 1, e) terms, and a product of
+    # total degree D in k variables at most C(D + k, k); both are checked
+    # before the product is computed.  Here 84 * 84 pairs of terms meet in
+    # 455 monomials of degree 12 or less
+    assert len(parse_poly3("(X + Y + Z + 1)^6 * (X + Y + Z + 1)^6").c) == 455
+    assert len(parse_poly3("(X + Y)^64").c) == 65
+    for text, what in (("(X + Y + Z + 1)^22", "power at position 16"),
+                       ("(X + Y + Z + 1)^11 * (X + Y + Z + 1)^11",
+                        "product at position 19"),
+                       ("(1 + X)^64 * (1 + Y)^64", "product at position 11")):
+        with pytest.raises(InputBoundError, match=f"{what} may have"):
+            parse_poly3(text)
+    # the bound is on multivariate polynomials only
+    assert parse_upoly("(1 + x)^64 * (1 + x)^64").degree == 128
