@@ -271,8 +271,32 @@ _HANDLERS = {
 }
 
 
+class _UsageError(Exception):
+    """An argparse error, raised so that run() reports it in one line."""
+
+
+class _Parser(argparse.ArgumentParser):
+    # subparsers are built from the parent's class, so they raise too
+    def error(self, message):
+        raise _UsageError(message)
+
+
+def _usage_line(message: str, argv) -> str:
+    """argparse's message as one line; a flag that did not get its value
+    because the value starts with '-' gets the ``--flag=value`` spelling."""
+    line = "parse error: " + " ".join(message.split())
+    missing = ": expected one argument"
+    if message.startswith("argument ") and message.endswith(missing):
+        flag = message[len("argument "):-len(missing)]
+        if flag in argv[:-1]:
+            value = argv[argv.index(flag) + 1]
+            if value.startswith("-") and not value.startswith("--"):
+                line += f"; write {flag}={value} for a value that starts with '-'"
+    return line
+
+
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="equicurve",
         description="Exact equivariant embeddings of punctured projective "
                     "lines, with machine-checked certificates.")
@@ -393,7 +417,10 @@ def _all_pass(data: dict) -> bool:
 def run(argv) -> tuple[int, str]:
     """Run one job; returns (exit status, report text)."""
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except _UsageError as e:
+        return 2, _usage_line(str(e), argv)
     # integer flags are checked here, so a bad value gets one line, not
     # argparse's usage block
     for flag in ("conductor_cap", "group_cap", "cap", "k", "n"):

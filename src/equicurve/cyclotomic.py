@@ -434,13 +434,16 @@ def _make(m: int, nums: tuple[int, ...], den: int) -> CycNum:
     return self
 
 
-_UNITS = tuple(_make(1, (n,), 1) for n in (-1, 0, 1))
+_SMALL = 64
+_SMALL_INTS = tuple(_make(1, (n,), 1) for n in range(-_SMALL, _SMALL + 1))
 
 
 def _rational(n: int, d: int = 1) -> CycNum:
-    # n/d in lowest terms; 0 and +-1, most entries of group elements, are shared
-    if d == 1 and -1 <= n <= 1:
-        return _UNITS[n + 1]
+    # n/d in lowest terms.  The integers up to 64 in absolute value, most
+    # entries of group elements and of polynomial coefficients, are shared,
+    # so that values kept alive (results, inputs) do not each hold a copy
+    if d == 1 and -_SMALL <= n <= _SMALL:
+        return _SMALL_INTS[n + _SMALL]
     return _make(1, (n,), d)
 
 

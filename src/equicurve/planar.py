@@ -27,6 +27,7 @@ from .poly import (
     URatFun,
     HPoly2,
     POLY3_VARS,
+    _over_common_denominator,
     poly3_compose,
     poly3_identity,
 )
@@ -262,7 +263,7 @@ def verify_extension(forward: tuple[MPoly, MPoly, MPoly],
     # phi keeps the degree of each component of tau
     tau_degrees = [max(t.num.degree, t.den.degree, 0) for t in tau]
     for i, f in enumerate(forward):
-        D = sum(k * deg for k, deg in zip(_degrees(f), tau_degrees))
+        D = sum(k * deg for k, deg in zip(f.degrees(), tau_degrees))
         if (D > MAX_SUBSTITUTION_DEGREE
                 or len(f.c) * D * D > MAX_SUBSTITUTION_WORK):
             raise InputBoundError(
@@ -292,37 +293,10 @@ def verify_extension(forward: tuple[MPoly, MPoly, MPoly],
     a, b, c, d = phi.entries()
     phi_rf = URatFun(UPoly([b, a]), UPoly([d, c]))
     tau_phi = tuple(comp.compose(phi_rf) for comp in tau)
-    for i, (f, v) in enumerate(zip(forward, tau)):
-        num, den = _substitute(f, tau_phi)
+    images = _over_common_denominator(forward, tau_phi)
+    for i, ((num, den), v) in enumerate(zip(images, tau)):
         diff = URatFun(num * v.den - v.num * den, den * v.den)
         cert.check(f"component {i + 1} residual is zero", diff.is_zero(),
                    witness=f"residual {diff}")
     return cert
 
-
-def _degrees(f: MPoly) -> list[int]:
-    """The degree of f in each of its variables."""
-    return [max((e[j] for e in f.c), default=0) for j in range(len(f.vars))]
-
-
-def _substitute(f: MPoly, values) -> tuple[UPoly, UPoly]:
-    """f at rational functions, as a numerator over the common denominator
-    prod_j den_j^(k_j), k_j the degree of f in variable j; no gcd is taken,
-    so the work is polynomial products only."""
-    ks = _degrees(f)
-    nums = [[UPoly.const(1)] for _ in ks]
-    dens = [[UPoly.const(1)] for _ in ks]
-    for j, (k, v) in enumerate(zip(ks, values)):
-        for _ in range(k):
-            nums[j].append(nums[j][-1] * v.num)
-            dens[j].append(dens[j][-1] * v.den)
-    total = UPoly()
-    for e, coeff in f.c.items():
-        term = UPoly.const(coeff)
-        for j, k in enumerate(e):
-            term = term * nums[j][k] * dens[j][ks[j] - k]
-        total = total + term
-    den = UPoly.const(1)
-    for j, k in enumerate(ks):
-        den = den * dens[j][k]
-    return total, den

@@ -206,12 +206,16 @@ class UPoly:
         return out
 
     def compose(self, inner):
-        """Substitute ``inner`` (UPoly or URatFun) for the variable."""
+        """Substitute ``inner`` (UPoly or URatFun) for the variable.
+
+        At a URatFun num/den this is the one-variable case of
+        :meth:`MPoly.substitute`: for self of degree n, sum_i c_i num^i
+        den^(n - i) over den^n by polynomial products only, reduced to
+        lowest terms once.
+        """
         if isinstance(inner, URatFun):
-            out = URatFun(UPoly(), UPoly.const(1))
-            for coeff in reversed(self.c):
-                out = out * inner + URatFun(UPoly.const(coeff), UPoly.const(1))
-            return out
+            f = MPoly(("x",), {(i,): v for i, v in enumerate(self.c)})
+            return _evaluate((f,), (inner,))[0]
         out = UPoly()
         for coeff in reversed(self.c):
             out = out * inner + UPoly.const(coeff)
@@ -691,23 +695,20 @@ class MPoly:
     def __pow__(self, n: int):
         return _power(self, n, MPoly.const(self.vars, 1))
 
+    def degrees(self) -> tuple[int, ...]:
+        """The degree in each variable (0 throughout for the zero polynomial)."""
+        return tuple(max((e[j] for e in self.c), default=0)
+                     for j in range(len(self.vars)))
+
     def substitute(self, values):
-        """Evaluate at ring elements (CycNum, URatFun, MPoly, ...)."""
-        values = list(values)
-        if len(values) != len(self.vars):
-            raise ValueError("wrong number of substitution values")
-        one = values[0] ** 0 if values else 1
-        pows = [{} for _ in values]
-        total = one * 0
-        for e in sorted(self.c):
-            term = one * self.c[e]
-            for i, ei in enumerate(e):
-                if ei:
-                    if ei not in pows[i]:
-                        pows[i][ei] = values[i] ** ei
-                    term = term * pows[i][ei]
-            total = total + term
-        return total
+        """Evaluate at ring elements (CycNum, URatFun, MPoly, ...).
+
+        At URatFun values the terms are summed over the common denominator
+        prod_j den_j^(k_j), k_j the degree in variable j, by polynomial
+        products only, and the sum is reduced to lowest terms once: one gcd
+        per call instead of one per term and per power.
+        """
+        return _evaluate((self,), values)[0]
 
     def __str__(self) -> str:
         if not self.c:
@@ -735,8 +736,112 @@ def poly3_var(name: str) -> MPoly:
 
 def poly3_compose(outer, inner):
     """Component-wise substitution of one A^3 polynomial triple in another."""
-    return tuple(f.substitute(inner) for f in outer)
+    return tuple(_evaluate(outer, inner))
 
 
 def poly3_identity():
     return tuple(poly3_var(n) for n in POLY3_VARS)
+
+
+# ---------------------------------------------------------------------------
+# evaluation of polynomial maps
+
+_U1 = UPoly.const(1)
+
+
+def _times(a, b):
+    # a * b, skipping the shared constant one of the power tables
+    return b if a is _U1 else a if b is _U1 else a * b
+
+
+def _evaluate(polys, values) -> list:
+    """Each MPoly of ``polys`` at the shared ``values``.
+
+    At URatFun values (scalars among them are read as constants) each
+    polynomial is summed over its common denominator and reduced to lowest
+    terms once, see :func:`_over_common_denominator`.  At other values
+    (CycNum, MPoly, ...) the powers of each value are computed once for the
+    whole tuple.
+    """
+    values = tuple(values)
+    for f in polys:
+        if len(f.vars) != len(values):
+            raise ValueError("wrong number of substitution values")
+    if any(isinstance(v, URatFun) for v in values):
+        values = tuple(v if isinstance(v, URatFun) else URatFun.const(v)
+                       for v in values)
+        return [URatFun(num, den)
+                for num, den in _over_common_denominator(polys, values)]
+    one = values[0] ** 0 if values else _C1
+    pows = []
+    for j, v in enumerate(values):
+        table = [one, v]
+        for _ in range(max((e[j] for f in polys for e in f.c), default=0) - 1):
+            table.append(table[-1] * v)
+        pows.append(table)
+
+    def monomial(e):
+        value = one
+        for j, k in enumerate(e):
+            if k:
+                value = pows[j][k] if value is one else value * pows[j][k]
+        return value
+
+    out = []
+    for f in polys:
+        if isinstance(one, MPoly):
+            acc = {}
+            for e in sorted(f.c):
+                c = f.c[e]
+                for m, v in monomial(e).c.items():
+                    s = acc.get(m, _C0) + c * v
+                    if s:
+                        acc[m] = s
+                    else:
+                        acc.pop(m, None)
+            out.append(MPoly(one.vars, acc))
+        else:
+            total = one * 0
+            for e in sorted(f.c):
+                total = total + monomial(e) * f.c[e]
+            out.append(total)
+    return out
+
+
+def _over_common_denominator(polys, values) -> list[tuple[UPoly, UPoly]]:
+    """(numerator, denominator) of each MPoly f of ``polys`` at the URatFun
+    ``values``, unreduced: sum_e c_e prod_j num_j^(e_j) den_j^(k_j - e_j) over
+    prod_j den_j^(k_j), k_j the degree of f in variable j.
+
+    The work is polynomial products only, no gcd; the power tables and the
+    products of their entries are shared by the tuple.
+    """
+    degrees = [f.degrees() for f in polys]
+    nums, dens = [], []
+    for j, v in enumerate(values):
+        top = max((ks[j] for ks in degrees), default=0)
+        n, d = [_U1], [_U1]
+        for _ in range(top):
+            n.append(_times(n[-1], v.num))
+            d.append(d[-1] if v.is_poly() else _times(d[-1], v.den))
+        nums.append(n)
+        dens.append(d)
+    prods = {}   # (exponent prefix, degree prefix) -> product of its factors
+    out = []
+    for f, ks in zip(polys, degrees):
+        num = UPoly()
+        for e in sorted(f.c):
+            term = _U1
+            for j, k in enumerate(ks):
+                if k:
+                    key = (e[:j + 1], ks[:j + 1])
+                    if key not in prods:
+                        prods[key] = _times(term, _times(nums[j][e[j]],
+                                                         dens[j][k - e[j]]))
+                    term = prods[key]
+            num = num + term * f.c[e]
+        den = _U1
+        for j, k in enumerate(ks):
+            den = _times(den, dens[j][k])
+        out.append((num, den))
+    return out

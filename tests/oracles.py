@@ -17,7 +17,7 @@ from equicurve.errors import (
     PNotInvariantError,
     TooFewPointsError,
 )
-from equicurve.poly import HPoly2
+from equicurve.poly import HPoly2, UPoly, URatFun
 from equicurve.projline import (
     FinSubgroupG,
     FinSubgroupH,
@@ -175,3 +175,38 @@ def invariant_dimensions_oracle(G: FinSubgroupG, degrees) -> dict[int, int]:
                     for i, row in enumerate(rows):
                         row[j] = row[j] + pu[i] * pv[k - i]
     return {k: _rank(rows) for k, rows in sums.items()}
+
+
+def substitute_term_by_term(f, values):
+    """``MPoly.substitute`` as it was before the common-denominator
+    evaluation: one ring operation per term and per power, so at URatFun
+    values every product and sum is a reduced URatFun."""
+    values = list(values)
+    if len(values) != len(f.vars):
+        raise ValueError("wrong number of substitution values")
+    one = values[0] ** 0 if values else 1
+    pows = [{} for _ in values]
+    total = one * 0
+    for e in sorted(f.c):
+        term = one * f.c[e]
+        for i, ei in enumerate(e):
+            if ei:
+                if ei not in pows[i]:
+                    pows[i][ei] = values[i] ** ei
+                term = term * pows[i][ei]
+        total = total + term
+    return total
+
+
+def compose_horner(p, inner):
+    """``UPoly.compose`` as it was before the common-denominator evaluation:
+    Horner's rule, reducing after every step at a URatFun."""
+    if isinstance(inner, URatFun):
+        out = URatFun(UPoly(), UPoly.const(1))
+        for coeff in reversed(p.c):
+            out = out * inner + URatFun(UPoly.const(coeff), UPoly.const(1))
+        return out
+    out = UPoly()
+    for coeff in reversed(p.c):
+        out = out * inner + UPoly.const(coeff)
+    return out

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from equicurve.cli import main, run
 from equicurve.cyclotomic import root_of_unity
@@ -235,3 +236,90 @@ def test_run_restores_the_conductor_cap():
 def test_integer_flags_accept_what_int_accepts():
     code, text = run(_PRESET + ["--n", " 3", "--group-cap", "+120"])
     assert code == 0 and "n: 3" in text
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["planar-normalize", "--P", "-x", "--Q", "1/x", "--R", "x"],
+     "parse error: argument --P: expected one argument; write --P=-x for a "
+     "value that starts with '-'"),
+    (["planar-normalize", "--Q", "1/x", "--R", "x"],
+     "parse error: the following arguments are required: --P"),
+    (_AUT + ["--format", "xml"],
+     "parse error: argument --format: invalid choice: 'xml' "
+     "(choose from 'text', 'json')"),
+    (_AUT + ["extra"], "parse error: unrecognized arguments: extra"),
+    ([], "parse error: the following arguments are required: command"),
+    (["planar-normalize", "--P", "x", "--Q", "1/x", "--R"],
+     "parse error: argument --R: expected one argument"),
+], ids=["leading-dash", "missing-flag", "bad-format", "extra-argument",
+        "no-command", "flag-without-value"])
+def test_argparse_errors_exit_2_with_one_line(argv, message, capsys):
+    assert run(argv) == (2, message)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == (message + "\n", "")
+
+
+def test_leading_dash_value_with_equals_sign():
+    code, text = run(["planar-normalize", "--P=-x", "--Q", "1/x",
+                      "--R", "x + 1/x"])
+    assert code == 0 and "P: -x" in text
+
+
+def test_help_still_prints_usage_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["aut", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: equicurve aut")
+
+
+# every subcommand with its flags, each with a value it accepts; fuzzed
+# values come from a small alphabet with a leading '-', cyc(...), ^64,
+# brackets, ';' and ':'
+_FUZZ_FLAGS = {
+    "aut": ("--lambda",),
+    "delta": ("--lambda", "--gens"),
+    "embed": ("--lambda", "--gens"),
+    "preset": ("--kind", "--n", "--pairs", "--allow-multiplicity"),
+    "planar-normalize": ("--P", "--Q", "--R", "--cap"),
+    "verify-extension": ("--F", "--tau", "--phi"),
+    "plane-extend": ("--lambda", "--g"),
+    "cor25": ("--k", "--a"),
+}
+_FUZZ_GOOD = {
+    "--lambda": "[0:1],[1:1],[1:0]", "--gens": "[[-1,0],[0,1]]",
+    "--kind": "cyclic", "--n": "2", "--pairs": "(1, 2)", "--P": "x",
+    "--Q": "1/x", "--R": "x + 1/x", "--cap": "4", "--F": "X; Y; Z",
+    "--tau": "x; 1/(x^2 - x); 0", "--phi": "[[1,0],[0,1]]",
+    "--g": "[[-1,0],[0,1]]", "--k": "2", "--a": "1, 2", "--format": "json",
+    "--conductor-cap": "8", "--group-cap": "24",
+}
+_FUZZ_SWITCHES = ("--allow-multiplicity", "--certificate")
+_FUZZ_COMMON = ("--format", "--certificate", "--conductor-cap", "--group-cap")
+_FUZZ_TOKENS = ("-", "-x", "1", "2", "0", "x", "X", "Y", "Z", "cyc(4; 0, 1)",
+                "cyc(3;0,1)", "^64", "^2", "[", "]", "[0:1]", "[1:1],[1:0]",
+                "[[-1,0],[0,1]]", "[[0,1],[1,0]]", ";", ":", ",", "(1, 2)",
+                "/", "+", "*", " ", "json", "cyclic")
+_FUZZ_VALUES = st.lists(st.sampled_from(_FUZZ_TOKENS), max_size=4).map("".join)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.data())
+def test_cli_fuzz_exits_with_a_status_and_one_line(data):
+    command = data.draw(st.sampled_from(sorted(_FUZZ_FLAGS)))
+    argv = [command]
+    for flag in _FUZZ_FLAGS[command] + _FUZZ_COMMON:
+        if not data.draw(st.integers(0, 3)):
+            continue
+        if flag in _FUZZ_SWITCHES:
+            argv.append(flag)
+        else:
+            argv += [flag, data.draw(st.one_of(st.just(_FUZZ_GOOD[flag]),
+                                               _FUZZ_VALUES))]
+    try:
+        code, text = run(argv)
+    except SystemExit as e:
+        raise AssertionError(f"SystemExit({e.code}) escaped for {argv}")
+    assert code in (0, 1, 2, 3), argv
+    if code in (2, 3):
+        assert len(text.splitlines()) == 1, (argv, text)

@@ -69,7 +69,9 @@ def test_cli_report_matches_frozen_digest(index):
 
 # embed and delta over Q(i), Q(zeta_3) and Q(zeta_5), with the group and
 # the points in different fields, so that coefficients are stored at mixed
-# conductors; digests frozen from the closed-form orbit pairs
+# conductors, digests frozen from the closed-form orbit pairs; and
+# planar-normalize, verify-extension and plane-extend over the same fields,
+# digests frozen from the term-by-term evaluation at rational functions
 MIXED_FIELD_JOBS = json.loads(
     (Path(__file__).resolve().parent / "mixed_field_digests.json").read_text())
 
