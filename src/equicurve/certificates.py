@@ -27,17 +27,6 @@ class Certificate:
     def ok(self) -> bool:
         return all(c.ok for c in self.clauses)
 
-    def lines(self) -> list[str]:
-        out = [f"certificate: {self.title}"]
-        for c in self.clauses:
-            status = "PASS" if c.ok else "FAIL"
-            tail = f"  [{c.witness}]" if c.witness and not c.ok else ""
-            out.append(f"  {status}  {c.claim}{tail}")
-        return out
-
-    def __str__(self) -> str:
-        return "\n".join(self.lines())
-
     def to_json(self) -> dict:
         return {
             "title": self.title,

@@ -19,8 +19,10 @@ from . import cyclotomic
 from .certificates import Certificate
 from .errors import CertificateFailure, ConstructionError, EquicurveError, ParseError
 from .parsing import (
-    parse_constant,
+    parse_constants,
+    parse_generators,
     parse_matrix2,
+    parse_pairs,
     parse_points,
     parse_poly3_triple,
     parse_ratfun,
@@ -43,17 +45,10 @@ def _points(text: str) -> list[P1Point]:
     return [P1Point(a, b) for a, b in parse_points(text)]
 
 
-def _gens(text: str) -> list[Moebius]:
-    from .parsing import _split_top
-    mats = [parse_matrix2(part) for part in _split_top(text.strip(), ";") if part]
-    if not mats:
-        raise ParseError("empty generator list")
-    return [Moebius(*m) for m in mats]
-
-
 def _group_for(args, pts: list[P1Point]):
     if getattr(args, "gens", None):
-        return group_closure(_gens(args.gens), cap=args.group_cap)
+        return group_closure([Moebius(*m) for m in parse_generators(args.gens)],
+                             cap=args.group_cap)
     if len(pts) >= 3:
         return aut_of_lambda(pts, cap=args.group_cap)
     return group_closure([], cap=args.group_cap)
@@ -116,21 +111,25 @@ def _cmd_embed(args) -> dict:
     pts = _points(args.lam)
     h = _group_for(args, pts)
     emb, cert = build_embedding(h, points=pts)
-    comp_names = ("x", "y", "z")
     return {
         "command": "embed",
         "lambda": [str(p) for p in sort_points(pts)],
         "group": str(h.kind),
         "removed_form": str(emb.lambda_poly),
-        "components": {
-            name: f"({num}) / ({emb.den})"
-            for name, num in zip(comp_names, emb.nums)
-        },
+        **_embedding_fields(emb),
+        "certificates": [cert.to_json()],
+    }
+
+
+def _embedding_fields(emb) -> dict:
+    """An A^3 embedding's coordinates and its generators' 3x3 matrices."""
+    return {
+        "components": {name: f"({num}) / ({emb.den})"
+                       for name, num in zip("xyz", emb.nums)},
         "generator_actions": [
             {"generator": str(g), "matrix": _mat3_str(m)}
             for g, m in emb.reps
         ],
-        "certificates": [cert.to_json()],
     }
 
 
@@ -144,38 +143,17 @@ def _cmd_preset(args) -> dict:
     from .embed3 import preset_family
     if args.kind == "tetrahedral" and args.n is not None:
         raise ParseError("--n applies to the cyclic and dihedral presets only")
-    pairs = []
-    from .parsing import _split_top
-    for chunk in _split_top(args.pairs.strip(), ";"):
-        if not chunk:
-            continue
-        chunk = chunk.strip()
-        if not (chunk.startswith("(") and chunk.endswith(")")):
-            raise ParseError(f"parameter pair must look like (a, b): {chunk!r}")
-        items = _split_top(chunk[1:-1], ",")
-        if len(items) != 2:
-            raise ParseError(f"parameter pair needs two entries: {chunk!r}")
-        pairs.append((parse_constant(items[0]), parse_constant(items[1])))
-    fam = preset_family(args.kind, args.n, pairs,
+    fam = preset_family(args.kind, args.n, parse_pairs(args.pairs),
                         require_squarefree=not args.allow_multiplicity)
-    comp_names = ("x", "y", "z")
-    emb = fam.embedding
     return {
         "command": "preset",
         "kind": fam.kind,
         "n": fam.n,
         "parameters": [f"({a}, {b})" for a, b in fam.params],
         "group": str(fam.h.kind),
-        "removed_form": str(emb.lambda_poly),
+        "removed_form": str(fam.embedding.lambda_poly),
         "orbit_forms": [str(o.p) for o in fam.orbits],
-        "components": {
-            name: f"({num}) / ({emb.den})"
-            for name, num in zip(comp_names, emb.nums)
-        },
-        "generator_actions": [
-            {"generator": str(g), "matrix": _mat3_str(m)}
-            for g, m in emb.reps
-        ],
+        **_embedding_fields(fam.embedding),
         "certificates": [fam.certificate.to_json()],
     }
 
@@ -245,9 +223,7 @@ def _cmd_plane_extend(args) -> dict:
 
 
 def _cmd_cor25(args) -> dict:
-    from .parsing import _split_top
-    a_vals = [parse_constant(chunk) for chunk in _split_top(args.a.strip(), ",")
-              if chunk]
+    a_vals = parse_constants(args.a)
     pts = cube_symmetric_family(args.k, a_vals)
     cert = verify_cube_symmetry(pts)
     return {

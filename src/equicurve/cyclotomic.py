@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 from .errors import ConductorCapError
 
@@ -39,27 +39,45 @@ def set_conductor_cap(max_degree: int) -> int:
     return previous
 
 
+def _over_cap(m: int) -> ConductorCapError:
+    return ConductorCapError(f"conductor {m} needs a field degree above cap "
+                             f"{_conductor_cap}; raise it with set_conductor_cap()")
+
+
 def _check_cap(m: int) -> None:
-    if euler_phi(m) > _conductor_cap:
-        raise ConductorCapError(
-            f"conductor {m} needs field degree {euler_phi(m)} "
-            f"> cap {_conductor_cap}; raise it with set_conductor_cap()"
-        )
+    # phi(m) >= sqrt(m / 2), so a conductor above 2 cap^2 is over the cap
+    # and is rejected before it is factored
+    if m > 2 * _conductor_cap ** 2 or euler_phi(m) > _conductor_cap:
+        raise _over_cap(m)
+
+
+def _trial_division(n: int) -> tuple[list[tuple[int, int]], int]:
+    """The prime powers (p, e) of n > 0 found by the divisors d <= cap + 1,
+    and the cofactor left: 1, or a number whose prime factors all exceed
+    cap + 1.  A conductor within the cap has none of those, since a prime p
+    dividing it has p - 1 <= phi <= cap."""
+    found, d = [], 2
+    while d * d <= n:
+        if d > _conductor_cap + 1:
+            return found, n
+        if n % d == 0:
+            e = 0
+            while n % d == 0:
+                n //= d
+                e += 1
+            found.append((d, e))
+        d += 1 if d == 2 else 2
+    if n > 1:
+        found.append((n, 1))
+    return found, 1
 
 
 @lru_cache(maxsize=None)
-def _prime_factors(n: int) -> tuple[int, ...]:
-    ps = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            ps.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        ps.append(n)
-    return tuple(ps)
+def _prime_factors(m: int) -> tuple[int, ...]:
+    found, rest = _trial_division(m)
+    if rest > 1:  # raised, so never cached
+        raise _over_cap(m)
+    return tuple(p for p, _ in found)
 
 
 @lru_cache(maxsize=None)
@@ -178,6 +196,18 @@ def _normal(m: int, nums, den: int) -> "CycNum":
     if m == 1:
         return _rational(nums[0], den)
     return _make(m, tuple(nums), den)
+
+
+def _power(base, n: int, one):
+    """base ** n by repeated squaring, for n >= 0."""
+    out = one
+    while n:
+        if n & 1:
+            out = out * base
+        n >>= 1
+        if n:
+            base = base * base
+    return out
 
 
 class CycNum:
@@ -339,14 +369,7 @@ class CycNum:
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        out = _rational(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
+        return _power(self, n, _rational(1))
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -509,21 +532,18 @@ def root_of_unity(m: int, k: int = 1) -> CycNum:
 
 
 def _split_square(n: int) -> tuple[int, int]:
-    """n = base^2 * rem with rem squarefree (n > 0)."""
-    base, rem = 1, 1
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            base *= d ** (e // 2)
-            if e % 2:
-                rem *= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        rem *= n
+    """n = base^2 * rem with rem squarefree (n > 0).  The square root of a
+    prime above cap + 1 needs a conductor above the cap, so a cofactor of
+    such primes that is not a square raises ConductorCapError."""
+    found, rest = _trial_division(n)
+    base, rem = isqrt(rest), 1
+    if base * base != rest:
+        raise ConductorCapError(f"the square root of {n} needs a conductor "
+                                f"above cap {_conductor_cap}")
+    for p, e in found:
+        base *= p ** (e // 2)
+        if e % 2:
+            rem *= p
     return base, rem
 
 

@@ -18,6 +18,7 @@ from .equivariant import (
     EndoPair,
     OrbitData,
     P1SelfMap,
+    act_on_pair,
     combine_orbits,
     contract,
     selfmap_from_orbit_polynomials,
@@ -50,15 +51,20 @@ def rep3(h: Moebius) -> Rep3:
     )
 
 
+def _chart(x, y, u, v):
+    """iota([x:y], [u:v]) as (x-, y-, z-numerator, denominator); the four
+    forms are bilinear, so one formula serves numbers and polynomials."""
+    xv, yu = x * v, y * u
+    return xv + yu, 2 * x * u, 2 * y * v, xv - yu
+
+
 def to_quadric(p: P1Point, q: P1Point) -> tuple[CycNum, CycNum, CycNum]:
     """iota: an off-diagonal pair of P^1 points onto yz = x^2 - 1."""
-    w = p.a * q.b - p.b * q.a
+    *nums, w = _chart(p.a, p.b, q.a, q.b)
     if not w:
         raise OnDiagonalError(f"({p}, {q}) lies on the diagonal")
     wi = w.inverse()
-    return ((p.a * q.b + p.b * q.a) * wi,
-            2 * p.a * q.a * wi,
-            2 * p.b * q.b * wi)
+    return tuple(n * wi for n in nums)
 
 
 def from_quadric(pt) -> tuple[P1Point, P1Point]:
@@ -71,6 +77,18 @@ def from_quadric(pt) -> tuple[P1Point, P1Point]:
     return P1Point(y, x - 1), P1Point(x - 1, z)
 
 
+def _check_linear(cert: Certificate, claim: str, m: Rep3, forms, moved) -> None:
+    """Check, denominators cleared, that coordinate i of the map into A^3
+    given by ``forms`` (numerators, denominator) moves to ``moved`` by m."""
+    *nums, den = forms
+    *nums_h, den_h = moved
+    for i in range(3):
+        lin = nums[0] * m[3 * i] + nums[1] * m[3 * i + 1] + nums[2] * m[3 * i + 2]
+        diff = nums_h[i] * den - lin * den_h
+        cert.check(f"coordinate {i + 1} {claim}", diff.is_zero(),
+                   witness=f"residual {diff}")
+
+
 _QVARS = ("y0", "y1", "z0", "z1")
 
 
@@ -78,20 +96,11 @@ def verify_quadric_equivariance(h: Moebius) -> Certificate:
     """Symbolic identity iota(h p, h q) = rep3(h) iota(p, q), denominators
     cleared, in the four homogeneous coordinates."""
     y0, y1, z0, z1 = (MPoly.var(_QVARS, n) for n in _QVARS)
-    nums = (y0 * z1 + y1 * z0, 2 * y0 * z0, 2 * y1 * z1)
-    den = y0 * z1 - y1 * z0
     a, b, c, d = h.entries()
-    sub = (a * y0 + b * y1, c * y0 + d * y1, a * z0 + b * z1, c * z0 + d * z1)
-    nums_h = tuple(n.substitute(sub) for n in nums)
-    den_h = den.substitute(sub)
-    m = rep3(h)
     cert = Certificate(f"quadric chart equivariance for {h}")
-    for i in range(3):
-        lin = sum((m[3 * i + j] * nums[j] for j in range(3)),
-                  MPoly.const(_QVARS, 0))
-        diff = nums_h[i] * den - lin * den_h
-        cert.check(f"coordinate {i + 1} transforms linearly", diff.is_zero(),
-                   witness=f"residual {diff}")
+    _check_linear(cert, "transforms linearly", rep3(h), _chart(y0, y1, z0, z1),
+                  _chart(a * y0 + b * y1, c * y0 + d * y1,
+                         a * z0 + b * z1, c * z0 + d * z1))
     return cert
 
 
@@ -111,7 +120,6 @@ class EmbeddingA3:
 
     group: FinSubgroupH
     lambda_poly: HPoly2
-    lambda_points: list[P1Point] | None
     nums: tuple[HPoly2, HPoly2, HPoly2]
     den: HPoly2
     orbit_terms: list[tuple[HPoly2, HPoly2, HPoly2, HPoly2]]
@@ -119,50 +127,57 @@ class EmbeddingA3:
     orbits: list[OrbitData]
     selfmap: P1SelfMap
 
-    @property
-    def components(self):
-        return [(n, self.den) for n in self.nums]
+
+def _graph_forms(f1: HPoly2, f2: HPoly2) -> tuple[HPoly2, HPoly2, HPoly2, HPoly2]:
+    """iota(q, [f1 : f2](q)) as three numerators and a denominator, scaled
+    so the denominator's leading coefficient is 1."""
+    forms = _chart(HPoly2.term(1, 1, 0), HPoly2.term(1, 0, 1), f1, f2)
+    if forms[3].is_zero():
+        raise ZeroPolynomialError("the self-map is the identity; no embedding")
+    scale = forms[3].lead().inverse()
+    return tuple(t.scale(scale) for t in forms)
 
 
 def _orbit_term(pair: EndoPair) -> tuple[HPoly2, HPoly2, HPoly2, HPoly2]:
+    # a common factor of the four forms divides 2x f1, 2y f1, 2x f2 and
+    # 2y f2, so it divides gcd(f1, f2): dividing the pair removes them all
     f1, f2 = pair.f1, pair.f2
-    x, y = HPoly2.term(1, 1, 0), HPoly2.term(1, 0, 1)
-    raw = (x * f2 + y * f1, 2 * x * f1, 2 * y * f2, x * f2 - y * f1)
-    g = raw[0].gcd(raw[1]).gcd(raw[2]).gcd(raw[3])
+    g = f1.gcd(f2)
     if g.degree > 0:
-        raw = tuple(t.divexact(g) for t in raw)
-    lead = raw[3].lead().inverse()
-    return tuple(t.scale(lead) for t in raw)
+        f1, f2 = f1.divexact(g), f2.divexact(g)
+    return _graph_forms(f1, f2)
 
 
-def assemble_embedding(h: FinSubgroupH, sm: P1SelfMap, orbits: list[OrbitData],
-                       lambda_points: list[P1Point] | None = None) -> EmbeddingA3:
+def assemble_embedding(h: FinSubgroupH, sm: P1SelfMap,
+                       orbits: list[OrbitData]) -> EmbeddingA3:
     """Compose the quadric chart with q -> (q, delta(q))."""
-    f1, f2 = sm.reduced1, sm.reduced2
-    x, y = HPoly2.term(1, 1, 0), HPoly2.term(1, 0, 1)
-    n1 = x * f2 + y * f1
-    n2 = 2 * x * f1
-    n3 = 2 * y * f2
-    den = x * f2 - y * f1
-    if den.is_zero():
-        raise ZeroPolynomialError("the self-map is the identity; no embedding")
-    scale = den.lead().inverse()
-    n1, n2, n3, den = (t.scale(scale) for t in (n1, n2, n3, den))
+    n1, n2, n3, den = _graph_forms(sm.reduced1, sm.reduced2)
     lam = HPoly2.term(1, 0, 0)
     for o in orbits:
         lam = lam * o.p.squarefree_decomp()[0]
-    reps = [(g, rep3(g)) for g in h.generators]
     return EmbeddingA3(
         group=h,
         lambda_poly=lam.normalized(),
-        lambda_points=lambda_points,
         nums=(n1, n2, n3),
         den=den,
         orbit_terms=[_orbit_term(o.pair) for o in orbits],
-        reps=reps,
+        reps=[(g, rep3(g)) for g in h.generators],
         orbits=orbits,
         selfmap=sm,
     )
+
+
+def _certified_embedding(h: FinSubgroupH, sm: P1SelfMap,
+                         orbits: list[OrbitData], title: str,
+                         checks: list[Certificate]):
+    """Assemble the embedding; its certificate merges ``checks`` with the
+    self-map, fixed-locus and embedding verifiers."""
+    emb = assemble_embedding(h, sm, orbits)
+    return emb, merge(title, checks + [
+        verify_selfmap_equivariance(sm, h),
+        verify_fixed_locus(sm, emb.lambda_poly),
+        verify_embedding(emb),
+    ])
 
 
 def build_embedding(h: FinSubgroupH, points: list[P1Point] | None = None,
@@ -180,32 +195,17 @@ def build_embedding(h: FinSubgroupH, points: list[P1Point] | None = None,
         sm, orbits, G = selfmap_from_orbit_polynomials(h, orbit_polys, G)
     else:
         raise DegenerateParamsError("provide points or orbit polynomials")
-    emb = assemble_embedding(h, sm, orbits, points)
-    cert = merge("embedding construction", [
-        verify_selfmap_equivariance(sm, h),
-        verify_fixed_locus(sm, emb.lambda_poly),
-        verify_embedding(emb),
-    ])
-    return emb, cert
+    return _certified_embedding(h, sm, orbits, "embedding construction", [])
 
 
 def verify_embedding(e: EmbeddingA3) -> Certificate:
     """Equivariance, regularity and injectivity of the embedding, exactly."""
     cert = Certificate("embedding into A^3")
-    n1, n2, n3 = e.nums
-    den = e.den
-
+    forms = (*e.nums, e.den)
+    n1, n2, n3, den = forms
     for g, m in e.reps:
-        mat = g.entries()
-        nh0, nh1, nh2, dh = compose_matrix_many((n1, n2, n3, den), mat)
-        nh = (nh0, nh1, nh2)
-        for i in range(3):
-            lin = HPoly2.zero()
-            for j, nj in enumerate((n1, n2, n3)):
-                lin = lin + nj.scale(m[3 * i + j])
-            diff = nh[i] * den - lin * dh
-            cert.check(f"coordinate {i + 1} equivariant under {g}",
-                       diff.is_zero(), witness=f"residual {diff}")
+        _check_linear(cert, f"equivariant under {g}", m, forms,
+                      compose_matrix_many(forms, g.entries()))
 
     sf = den.squarefree_decomp()[0]
     cert.check("final denominator vanishes exactly on the removed set",
@@ -334,7 +334,7 @@ def preset_family(kind: str, n: int | None, params,
         cert.check(f"orbit {idx + 1}: contraction identity f1*y - f2*x = P",
                    contract(pair) == P)
         cert.check(f"orbit {idx + 1}: pair fixed by every element of G",
-                   all(_pair_fixed(g, pair) for g in G.elements))
+                   all(act_on_pair(g, pair) == pair for g in G.elements))
         d = 1 if kind == "tetrahedral" else 2
         orbit_data.append(OrbitData([], p, d, P, pair))
     for i in range(len(orbit_data)):
@@ -343,19 +343,9 @@ def preset_family(kind: str, n: int | None, params,
                 raise DegenerateParamsError(
                     f"orbit forms {i + 1} and {j + 1} share a root")
     sm = combine_orbits(orbit_data)
-    emb = assemble_embedding(h, sm, orbit_data)
-    cert = merge(f"{kind} preset family", [
-        cert,
-        verify_selfmap_equivariance(sm, h),
-        verify_fixed_locus(sm, emb.lambda_poly),
-        verify_embedding(emb),
-    ])
+    emb, cert = _certified_embedding(h, sm, orbit_data, f"{kind} preset family",
+                                     [cert])
     return PresetFamily(kind, n, params, h, G, orbit_data, emb, cert)
-
-
-def _pair_fixed(g, pair: EndoPair) -> bool:
-    from .equivariant import act_on_pair
-    return act_on_pair(g, pair) == pair
 
 
 # ---------------------------------------------------------------------------

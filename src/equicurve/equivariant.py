@@ -246,11 +246,6 @@ class P1SelfMap:
     def from_pair(g1: HPoly2, g2: HPoly2) -> "P1SelfMap":
         if g1.is_zero() and g2.is_zero():
             raise ZeroPolynomialError("self-map needs a nonzero pair")
-        if g1.is_zero() or g2.is_zero():
-            unit = HPoly2.term(1, 0, 0)
-            r1 = HPoly2.zero() if g1.is_zero() else unit
-            r2 = HPoly2.zero() if g2.is_zero() else unit
-            return P1SelfMap(g1, g2, r1, r2)
         alpha = g1.gcd(g2)
         r1, r2 = g1.divexact(alpha), g2.divexact(alpha)
         r1, r2 = _pair_normalize(r1, r2)

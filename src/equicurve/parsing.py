@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .cyclotomic import CycNum, euler_phi
+from .cyclotomic import CycNum
 from .errors import InputBoundError, ParseError
 from .poly import MPoly, UPoly, URatFun, HPoly2, POLY3_VARS
 
@@ -217,10 +217,11 @@ class _Parser:
             self.take()
             coeffs.append(self.signed_rational())
         self.take(")")
-        if len(coeffs) > euler_phi(m):
-            raise ParseError(
-                f"cyc({m}; ...) takes at most {euler_phi(m)} coefficients")
-        return CycNum.from_coeffs(m, coeffs)
+        # from_coeffs checks the conductor cap before it counts coefficients
+        try:
+            return CycNum.from_coeffs(m, coeffs)
+        except ValueError as e:
+            raise ParseError(f"cyc({m}; ...): {e}") from None
 
 
 def _div_generic(a, b):
@@ -296,46 +297,60 @@ def _split_top(text: str, sep: str) -> list[str]:
     return [p.strip() for p in parts]
 
 
-def parse_point(text: str) -> tuple[CycNum, CycNum]:
+def _items(text: str, sep: str) -> list[str]:
+    """The nonempty top-level items of a ``sep``-separated list."""
+    return [part for part in _split_top(text.strip(), sep) if part]
+
+
+def _two_entries(text: str, shape: str, sep: str, what: str) -> list[str]:
+    """The two entries of a bracketed pair written like ``shape``, such as
+    ``[a : b]``, split at ``sep``."""
     text = text.strip()
-    if not (text.startswith("[") and text.endswith("]")):
-        raise ParseError(f"point must look like [a : b], got {text!r}")
-    inner = text[1:-1]
-    parts = _split_top(inner, ":")
+    if not (text.startswith(shape[0]) and text.endswith(shape[-1])):
+        raise ParseError(f"{what} must look like {shape}, got {text!r}")
+    parts = _split_top(text[1:-1], sep)
     if len(parts) != 2:
-        raise ParseError(f"point must have two coordinates: {text!r}")
-    return parse_constant(parts[0]), parse_constant(parts[1])
+        raise ParseError(f"{what} needs two entries: {text!r}")
+    return parts
+
+
+def parse_point(text: str) -> tuple[CycNum, CycNum]:
+    a, b = _two_entries(text, "[a : b]", ":", "point")
+    return parse_constant(a), parse_constant(b)
 
 
 def parse_points(text: str) -> list[tuple[CycNum, CycNum]]:
-    parts = _split_top(text.strip(), ",")
-    # points contain commas only inside cyc(...) which sits inside brackets
-    out = []
-    for chunk in parts:
-        if chunk:
-            out.append(parse_point(chunk))
+    """Points separated by commas; commas inside a point sit in brackets."""
+    out = [parse_point(chunk) for chunk in _items(text, ",")]
     if not out:
         raise ParseError("empty point list")
     return out
 
 
 def parse_matrix2(text: str) -> tuple[CycNum, CycNum, CycNum, CycNum]:
-    text = text.strip()
-    if not (text.startswith("[") and text.endswith("]")):
-        raise ParseError(f"matrix must look like [[a,b],[c,d]]: {text!r}")
-    rows = _split_top(text[1:-1], ",")
-    if len(rows) != 2:
-        raise ParseError("matrix needs two rows")
-    entries = []
-    for row in rows:
-        row = row.strip()
-        if not (row.startswith("[") and row.endswith("]")):
-            raise ParseError(f"matrix row must be bracketed: {row!r}")
-        cols = _split_top(row[1:-1], ",")
-        if len(cols) != 2:
-            raise ParseError("matrix row needs two entries")
-        entries.extend(parse_constant(c) for c in cols)
-    return tuple(entries)
+    rows = _two_entries(text, "[[a, b], [c, d]]", ",", "matrix")
+    return tuple(parse_constant(entry) for row in rows
+                 for entry in _two_entries(row, "[a, b]", ",", "matrix row"))
+
+
+def parse_generators(text: str) -> list[tuple[CycNum, CycNum, CycNum, CycNum]]:
+    """2x2 matrices separated by ';'."""
+    out = [parse_matrix2(chunk) for chunk in _items(text, ";")]
+    if not out:
+        raise ParseError("empty generator list")
+    return out
+
+
+def parse_pairs(text: str) -> list[tuple[CycNum, CycNum]]:
+    """Parameter pairs ``(a, b); (c, d); ...``."""
+    return [tuple(parse_constant(entry) for entry in
+                  _two_entries(chunk, "(a, b)", ",", "parameter pair"))
+            for chunk in _items(text, ";")]
+
+
+def parse_constants(text: str) -> list[CycNum]:
+    """Constants separated by commas."""
+    return [parse_constant(chunk) for chunk in _items(text, ",")]
 
 
 def parse_poly3_triple(text: str) -> tuple[MPoly, MPoly, MPoly]:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from math import lcm
 
 from .certificates import Certificate
-from .cyclotomic import CycNum, as_cyc
+from .cyclotomic import CycNum, _power, as_cyc
 from .errors import (
     ConstructionError,
     DegenerateParamsError,
@@ -27,7 +27,7 @@ from .errors import (
     SqrtNotFoundError,
     TrivialAutomorphismError,
 )
-from .poly import HPoly2, MPoly, UPoly, URatFun, _power
+from .poly import HPoly2, MPoly, UPoly, URatFun
 from .projline import (
     Moebius,
     P1Point,

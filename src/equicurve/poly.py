@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .cyclotomic import CycNum, as_cyc
+from .cyclotomic import CycNum, _power, as_cyc
 from .errors import DegreeMismatchError, ZeroPolynomialError
 
 _C0 = CycNum(0)
@@ -40,18 +40,6 @@ def _upoly(cs: list) -> "UPoly":
         cs.pop()
     out = object.__new__(UPoly)
     out.c = tuple(cs)
-    return out
-
-
-def _power(base, n: int, one):
-    """base ** n by repeated squaring, for n >= 0."""
-    out = one
-    while n:
-        if n & 1:
-            out = out * base
-        n >>= 1
-        if n:
-            base = base * base
     return out
 
 

@@ -469,13 +469,13 @@ def fixed_points(g: Moebius):
     if s is None:
         # one level of growth: fold in i and the squarefree kernel of the
         # rational content, then search again over the larger conductor
-        big = 4 * disc.m
-        if disc.is_rational():
-            q = disc.as_fraction()
-            big *= _split_square(abs(q.numerator) * q.denominator)[1]
-        if big % 4 == 2:
-            big //= 2
         try:
+            big = 4 * disc.m
+            if disc.is_rational():
+                q = disc.as_fraction()
+                big *= _split_square(abs(q.numerator) * q.denominator)[1]
+            if big % 4 == 2:
+                big //= 2
             s = try_sqrt(disc.embedded(big))
         except ConductorCapError:
             s = None

@@ -210,3 +210,18 @@ def compose_horner(p, inner):
     for coeff in reversed(p.c):
         out = out * inner + UPoly.const(coeff)
     return out
+
+
+def orbit_term_three_gcds(pair: EndoPair):
+    """``embed3._orbit_term`` as it was before it divided the pair by
+    gcd(f1, f2): the chart forms of the pair, divided by the gcd of all four
+    (three chained gcds), scaled so the denominator's leading coefficient
+    is 1."""
+    f1, f2 = pair.f1, pair.f2
+    x, y = HPoly2.term(1, 1, 0), HPoly2.term(1, 0, 1)
+    raw = (x * f2 + y * f1, 2 * x * f1, 2 * y * f2, x * f2 - y * f1)
+    g = raw[0].gcd(raw[1]).gcd(raw[2]).gcd(raw[3])
+    if g.degree > 0:
+        raw = tuple(t.divexact(g) for t in raw)
+    lead = raw[3].lead().inverse()
+    return tuple(t.scale(lead) for t in raw)

@@ -15,6 +15,7 @@ import pytest
 from equicurve.cli import run
 from equicurve.cyclotomic import CycNum, root_of_unity
 from equicurve.embed3 import (
+    assemble_embedding,
     build_embedding,
     closed_form_pair,
     from_quadric,
@@ -320,6 +321,27 @@ def test_criterion_5_embeddings_end_to_end():
     assert len(preset_configs) == 8 * 3 + 3 * 3 + 4
     report(5, f"embeddings verified on {len(configs)} point configurations "
               f"and {len(preset_configs)} preset forms through both paths", t0)
+
+
+def test_assembled_embeddings_are_the_chart_of_the_graph():
+    # at points off the removed set, the embedding is iota(p, delta(p))
+    samples = [pt(11), pt(Fraction(-13, 7)), INF, P1Point(2 + W, 1),
+               P1Point(1 + I4, 3)]
+    configs = _criterion3_configurations()
+    checked = 0
+    for kind, n, h, G, pts in configs:
+        sm, orbits, _ = selfmap_with_fixed_locus(h, pts, G)
+        emb = assemble_embedding(h, sm, orbits)
+        for p in samples:
+            if not emb.lambda_poly.eval(p.a, p.b):
+                continue
+            image = P1Point(sm.reduced1.eval(p.a, p.b),
+                            sm.reduced2.eval(p.a, p.b))
+            den = emb.den.eval(p.a, p.b)
+            assert (tuple(f.eval(p.a, p.b) / den for f in emb.nums)
+                    == to_quadric(p, image)), (kind, n, str(p))
+            checked += 1
+    assert checked >= 4 * len(configs)
 
 
 def test_criterion_6_reference_extension_example():

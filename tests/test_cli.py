@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -212,15 +213,39 @@ _EXTEND = ["verify-extension", "--F", "X; Y; Z", "--tau", "x; 1/(x^2 - x); 0",
      "parse error: substituting tau into component 2 of F implies degree "
      "D = 42 over T = 1 terms; the bounds are D <= 40 and "
      "T * D^2 <= 262144"),
+    (_PLANAR + ["--cap", "200"],
+     "parse error: witness degree cap 200 exceeds 24"),
 ], ids=["conductor-cap", "group-cap", "cap", "k", "n", "k-range", "n-range",
         "n-huge", "n-above-group-cap", "n-tetrahedral", "huge-exponent",
         "chained-exponent", "nested-exponent", "chained-constant-exponent",
-        "many-terms-power", "many-terms-product", "substitution-degree"])
+        "many-terms-power", "many-terms-product", "substitution-degree",
+        "witness-degree-cap"])
 def test_bad_integer_flags_exit_2_with_one_line(argv, message, capsys):
     assert run(argv) == (2, message)
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert (out, err) == (message + "\n", "")
+
+
+_PRIME = "100000000000000000039"
+_OVER_CAP = (f"construction error: conductor {_PRIME} needs a field degree "
+             f"above cap 256; raise it with set_conductor_cap()")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["aut", "--lambda", f"[cyc({_PRIME}; 0, 1):1],[0:1],[1:0]"], _OVER_CAP),
+    (["preset", "--kind", "cyclic", "--n", _PRIME, "--group-cap", _PRIME,
+      "--pairs", "(1, 2)"], _OVER_CAP),
+    (["plane-extend", "--lambda", f"[1:1],[{_PRIME}:1]",
+      "--g", f"[[0,{_PRIME}],[1,0]]"],
+     f"construction error: no square root found for 1/{_PRIME}"),
+], ids=["cyc-literal", "preset-root-of-unity", "square-root"])
+def test_large_primes_exit_3_with_one_line_at_once(argv, message):
+    # a conductor or square root past the cap is rejected without factoring
+    # the prime, which trial division would take hours to do
+    t0 = time.perf_counter()
+    assert run(argv) == (3, message)
+    assert time.perf_counter() - t0 < 5
 
 
 def test_run_restores_the_conductor_cap():

@@ -148,6 +148,22 @@ def test_conductor_cap():
         set_conductor_cap(256)
 
 
+def test_trial_division_stops_past_the_cap():
+    # 263 and 269 are primes above cap + 1 = 257: a square of them joins the
+    # base of a square root, a product of both has no root within the cap
+    # and makes a conductor over the cap
+    p, q = 263, 269
+    assert try_sqrt(CycNum(3 * p * p)) == p * try_sqrt(CycNum(3))
+    assert try_sqrt(CycNum(p * q)) is None
+    with pytest.raises(ConductorCapError):
+        root_of_unity(p * q)
+    set_conductor_cap((p - 1) * (q - 1))
+    try:
+        assert euler_phi(p * q) == (p - 1) * (q - 1)
+    finally:
+        set_conductor_cap(256)
+
+
 def test_textual_form_round_trip():
     from equicurve.parsing import parse_constant
     vals = [CycNum(Fraction(-3, 7)), root_of_unity(8, 3) * 2 + 1,

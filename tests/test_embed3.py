@@ -1,10 +1,13 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from equicurve.cyclotomic import CycNum, root_of_unity
+from equicurve.cyclotomic import CycNum, euler_phi, root_of_unity
 from equicurve.embed3 import (
     EmbeddingA3,
+    _orbit_term,
     affine_line_embedding,
     build_embedding,
     closed_form_pair,
@@ -17,7 +20,7 @@ from equicurve.embed3 import (
     verify_embedding,
     verify_quadric_equivariance,
 )
-from equicurve.equivariant import contract
+from equicurve.equivariant import EndoPair, contract, orbit_polynomial
 from equicurve.errors import (
     DegenerateParamsError,
     NotOnQuadricError,
@@ -25,8 +28,9 @@ from equicurve.errors import (
     OnDiagonalError,
 )
 from equicurve.parsing import parse_hpoly
-from equicurve.projline import Moebius, P1Point
-from oracles import rep3_eq, rep3_mul
+from equicurve.poly import HPoly2
+from equicurve.projline import Moebius, P1Point, orbit_decompose
+from oracles import orbit_term_three_gcds, rep3_eq, rep3_mul
 
 W = root_of_unity(3)
 I4 = root_of_unity(4)
@@ -225,7 +229,7 @@ def test_corrupted_embedding_fails():
     fam = preset_family("cyclic", 2, [(1, -1)])
     emb = fam.embedding
     bad_nums = (emb.nums[0] + parse_hpoly("x^2"), emb.nums[1], emb.nums[2])
-    broken = EmbeddingA3(emb.group, emb.lambda_poly, emb.lambda_points,
+    broken = EmbeddingA3(emb.group, emb.lambda_poly,
                          bad_nums, emb.den, emb.orbit_terms, emb.reps,
                          emb.orbits, emb.selfmap)
     cert = verify_embedding(broken)
@@ -249,3 +253,53 @@ def test_special_case_punctured_line():
     assert mapped[0] == 2 * t
     mapped = [f.substitute(tau) for f in inversion(1)]
     assert mapped[0] == 1 / t and mapped[1] == t
+
+
+@st.composite
+def _orbit_pairs(draw):
+    """Pairs (c f1, c f2) over Q, Q(i) or Q(zeta_3) with a common factor c
+    of degree 0 to 2; one component may be zero."""
+    m = draw(st.sampled_from((1, 4, 3)))
+    coeffs = st.lists(st.integers(-3, 3), min_size=euler_phi(m),
+                      max_size=euler_phi(m)).map(
+        lambda cs: CycNum.from_coeffs(m, [Fraction(v) for v in cs]))
+
+    def form(degree):
+        return HPoly2(degree, {i: draw(coeffs) for i in range(degree + 1)})
+
+    d = draw(st.integers(0, 3))
+    f1, f2 = form(d), form(d)
+    c = form(draw(st.integers(0, 2)))
+    assume(c)
+    pair = EndoPair(f1 * c, f2 * c)
+    assume(HPoly2.term(1, 1, 0) * pair.f2 != HPoly2.term(1, 0, 1) * pair.f1)
+    return pair
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_orbit_pairs())
+def test_orbit_term_matches_the_three_gcd_reference(pair):
+    got, want = _orbit_term(pair), orbit_term_three_gcds(pair)
+    assert got == want
+    assert [str(t) for t in got] == [str(t) for t in want]
+
+
+def _orbit_of(h, p):
+    return sorted({g.apply(p) for g in h.elements}, key=str)
+
+
+def test_points_and_orbit_polynomials_give_the_same_embedding():
+    cases = [
+        (standard_group("tetrahedral"), [P1Point(0, 1)]),
+        (standard_group("dihedral", 3), [pt(2), P1Point(0, 1)]),
+        (standard_group("cyclic", 4), [pt(1), pt(3), INF]),
+    ]
+    for h, seeds in cases:
+        pts = [q for s in seeds for q in _orbit_of(h, s)]
+        emb, cert = build_embedding(h, points=pts)
+        polys = [orbit_polynomial(o) for o in orbit_decompose(h, pts)]
+        emb2, cert2 = build_embedding(h, orbit_polys=polys)
+        assert cert.ok and cert2.ok
+        assert emb.nums == emb2.nums and emb.den == emb2.den
+        assert emb.lambda_poly == emb2.lambda_poly
+        assert cert.clauses == cert2.clauses

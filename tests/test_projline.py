@@ -9,6 +9,7 @@ from equicurve.errors import (
     DegeneratePointsError,
     NotFiniteWithinCapError,
     NotInvariantError,
+    RootFieldUnsupportedError,
     TooFewPointsError,
 )
 from equicurve.projline import (
@@ -220,6 +221,14 @@ def test_fixed_points_examples():
         assert p.a * p.a - p.a + 1 == 0
     assert fixed_points(Moebius(-1, 0, 0, 1)) == sort_points([P1Point(0, 1), INF])
     assert fixed_points(Moebius.identity()) == ALL_OF_P1
+
+
+def test_fixed_points_of_a_large_prime_discriminant_fail_with_a_reason():
+    # x -> p / x has fixed points +-sqrt(p), beyond every conductor within
+    # the cap; the prime is never factored
+    p = 100000000000000000039
+    with pytest.raises(RootFieldUnsupportedError):
+        fixed_points(Moebius(0, p, 1, 0))
 
 
 def test_fixed_points_are_fixed_and_two_for_finite_order():
