@@ -547,13 +547,17 @@ def _split_square(n: int) -> tuple[int, int]:
     return base, rem
 
 
-@lru_cache(maxsize=None)
 def _sqrt_prime(p: int) -> CycNum:
-    """A square root of the odd prime p (quadratic Gauss sum), or of 2."""
+    """A square root of the odd prime p (quadratic Gauss sum), or of 2.
+    The cap is checked on every call; only the root is cached."""
+    _check_cap(8 if p == 2 else p if p % 4 == 1 else 4 * p)
+    return _gauss_sum(p)
+
+
+@lru_cache(maxsize=None)
+def _gauss_sum(p: int) -> CycNum:
     if p == 2:
-        _check_cap(8)
         return CycNum.from_coeffs(8, [0, 1, 0, -1])  # zeta_8 - zeta_8^3
-    _check_cap(p if p % 4 == 1 else 4 * p)
     legendre = [0] * p
     for t in range(1, p):
         legendre[(t * t) % p] = 1
@@ -607,10 +611,10 @@ def try_sqrt(a) -> CycNum | None:
             else:
                 root = root_of_unity(2 * m, k)
             s = _sqrt_rational(q) * root
+        if s * s != a:
+            raise ArithmeticError(f"square root self-check failed for {a}")
     except ConductorCapError:
         return None
-    if s * s != a:
-        raise ArithmeticError(f"square root self-check failed for {a}")
     if s.is_rational():
         return s if s.as_fraction() > 0 else -s
     s = s.reduced()

@@ -112,17 +112,17 @@ class EmbeddingA3:
     """A closed embedding of P^1 minus the zero set of ``lambda_poly``.
 
     ``nums`` over ``den`` are the three coordinates as ratios of
-    equal-degree homogeneous forms with no common factor; ``orbit_terms``
-    is the per-orbit summand presentation (numerators x3 plus denominator,
-    one tuple per orbit, to be averaged with weight 1/r); ``reps`` carries
-    the 3x3 action of each group generator.
+    equal-degree homogeneous forms with no common factor; ``orbit_dens``
+    holds, per orbit, the denominator of that orbit's summand (the chart of
+    its pair over their gcd); ``reps`` carries the 3x3 action of each group
+    generator.
     """
 
     group: FinSubgroupH
     lambda_poly: HPoly2
     nums: tuple[HPoly2, HPoly2, HPoly2]
     den: HPoly2
-    orbit_terms: list[tuple[HPoly2, HPoly2, HPoly2, HPoly2]]
+    orbit_dens: list[HPoly2]
     reps: list[tuple[Moebius, Rep3]]
     orbits: list[OrbitData]
     selfmap: P1SelfMap
@@ -132,20 +132,28 @@ def _graph_forms(f1: HPoly2, f2: HPoly2) -> tuple[HPoly2, HPoly2, HPoly2, HPoly2
     """iota(q, [f1 : f2](q)) as three numerators and a denominator, scaled
     so the denominator's leading coefficient is 1."""
     forms = _chart(HPoly2.term(1, 1, 0), HPoly2.term(1, 0, 1), f1, f2)
-    if forms[3].is_zero():
-        raise ZeroPolynomialError("the self-map is the identity; no embedding")
-    scale = forms[3].lead().inverse()
+    scale = _den_scale(forms[3])
     return tuple(t.scale(scale) for t in forms)
 
 
-def _orbit_term(pair: EndoPair) -> tuple[HPoly2, HPoly2, HPoly2, HPoly2]:
-    # a common factor of the four forms divides 2x f1, 2y f1, 2x f2 and
-    # 2y f2, so it divides gcd(f1, f2): dividing the pair removes them all
+def _den_scale(den: HPoly2) -> CycNum:
+    """The scale that makes the leading coefficient of a denominator 1."""
+    if den.is_zero():
+        raise ZeroPolynomialError("the self-map is the identity; no embedding")
+    return den.lead().inverse()
+
+
+def _orbit_den(pair: EndoPair) -> HPoly2:
+    """The denominator x f2 - y f1 of the chart of the pair over
+    gcd(f1, f2), scaled so its leading coefficient is 1."""
+    # a common factor of the four chart forms divides 2x f1, 2y f1, 2x f2
+    # and 2y f2, so it divides gcd(f1, f2): dividing the pair removes them all
     f1, f2 = pair.f1, pair.f2
     g = f1.gcd(f2)
     if g.degree > 0:
         f1, f2 = f1.divexact(g), f2.divexact(g)
-    return _graph_forms(f1, f2)
+    den = HPoly2.term(1, 1, 0) * f2 - HPoly2.term(1, 0, 1) * f1
+    return den.scale(_den_scale(den))
 
 
 def assemble_embedding(h: FinSubgroupH, sm: P1SelfMap,
@@ -160,7 +168,7 @@ def assemble_embedding(h: FinSubgroupH, sm: P1SelfMap,
         lambda_poly=lam.normalized(),
         nums=(n1, n2, n3),
         den=den,
-        orbit_terms=[_orbit_term(o.pair) for o in orbits],
+        orbit_dens=[_orbit_den(o.pair) for o in orbits],
         reps=[(g, rep3(g)) for g in h.generators],
         orbits=orbits,
         selfmap=sm,
@@ -212,7 +220,7 @@ def verify_embedding(e: EmbeddingA3) -> Certificate:
                sf.normalized() == e.lambda_poly,
                witness=f"denominator squarefree part {sf}")
 
-    for k, (ai, bi, ci, wi) in enumerate(e.orbit_terms):
+    for k, wi in enumerate(e.orbit_dens):
         sf_w = wi.squarefree_decomp()[0]
         sf_p = e.orbits[k].p.squarefree_decomp()[0]
         cert.check(f"orbit {k + 1} denominator vanishes exactly on its orbit",

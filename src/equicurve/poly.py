@@ -529,13 +529,29 @@ class HPoly2:
     __repr__ = __str__
 
 
+def _times_linear(cs: list, c0: CycNum, c1: CycNum) -> list:
+    """Coefficients of (sum_i cs[i] x^i) * (c1 x + c0)."""
+    out = [v * c0 for v in cs] if c0 else [_C0] * len(cs)
+    out.append(_C0)
+    if c1:
+        for i, v in enumerate(cs, 1):
+            out[i] = out[i] + v * c1
+    return out
+
+
 def compose_matrix_many(polys, mat):
     """Substitute (x, y) <- (m11 x + m12 y, m21 x + m22 y) into each form.
 
-    Forms of one degree share the powers of the two linear forms and their
-    products; forms of mixed degrees are substituted one at a time.  Under a
-    diagonal or antidiagonal matrix each monomial maps to a multiple of one
-    monomial.
+    Horner's rule, with A = m11 x + m12 y and B = m21 x + m22 y: a form
+    sum_i c_i x^i y^(d-i) whose highest x-exponent is t maps to S_0, where
+    S_t = c_t B^(d-t) and S_k = S_(k+1) A + c_k B^(d-k).  The powers of B
+    (about d^2 coefficient products) are shared by the forms of one degree;
+    each form then costs about 1.5 d^2 products (d^2 for the products by A,
+    d^2/2 for the terms c_k B^(d-k)), where expanding the image of every
+    monomial costs about d^3/6 (at d = 60 over Q(zeta_5): 9211 products in
+    place of 50752).  Forms of mixed degrees are substituted one at a time.
+    Under a diagonal or antidiagonal matrix each monomial maps to a multiple
+    of one monomial.
     """
     degs = {p.d for p in polys if p.u.c}
     if not degs:
@@ -558,26 +574,25 @@ def compose_matrix_many(polys, mat):
                 cs = [_C0] * (d + 1 - len(cs)) + cs[::-1]
             out.append(HPoly2(d, _upoly(cs)))
         return out
-    lin_a, lin_b = UPoly([m12, m11]), UPoly([m22, m21])
-    pows_a, pows_b = [UPoly.const(1)], [UPoly.const(1)]
-    for _ in range(d):
-        pows_a.append(pows_a[-1] * lin_a)
-        pows_b.append(pows_b[-1] * lin_b)
-    # row i: the nonzero terms of the image of x^i y^(d-i), shared by all forms
-    rows = {}
-    for i in {i for p in polys for i, v in enumerate(p.u.c) if v}:
-        image = pows_a[i] * pows_b[d - i]
-        rows[i] = [(k, r) for k, r in enumerate(image.c) if r]
+    # pows_b[j]: the coefficients of B^j, up to the largest power a form reads
+    low = min(p.x_valuation() for p in polys if p.u.c)
+    pows_b = [[_C1]]
+    for _ in range(d - low):
+        pows_b.append(_times_linear(pows_b[-1], m22, m21))
     out = []
     for p in polys:
-        if not p.u.c:
+        cs = p.u.c
+        if not cs:
             out.append(p)
             continue
-        acc = [_C0] * (d + 1)
-        for i, v in enumerate(p.u.c):
-            if v:
-                for k, r in rows[i]:
-                    acc[k] = acc[k] + v * r
+        top = len(cs) - 1
+        acc = [cs[top] * v for v in pows_b[d - top]]
+        for k in range(top - 1, -1, -1):
+            acc = _times_linear(acc, m12, m11)
+            c = cs[k]
+            if c:
+                for j, v in enumerate(pows_b[d - k]):
+                    acc[j] = acc[j] + c * v
         out.append(HPoly2(d, _upoly(acc)))
     return out
 

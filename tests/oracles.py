@@ -213,10 +213,10 @@ def compose_horner(p, inner):
 
 
 def orbit_term_three_gcds(pair: EndoPair):
-    """``embed3._orbit_term`` as it was before it divided the pair by
+    """The orbit term as ``embed3`` built it before it divided the pair by
     gcd(f1, f2): the chart forms of the pair, divided by the gcd of all four
     (three chained gcds), scaled so the denominator's leading coefficient
-    is 1."""
+    is 1.  ``embed3._orbit_den`` keeps the denominator alone."""
     f1, f2 = pair.f1, pair.f2
     x, y = HPoly2.term(1, 1, 0), HPoly2.term(1, 0, 1)
     raw = (x * f2 + y * f1, 2 * x * f1, 2 * y * f2, x * f2 - y * f1)
@@ -225,3 +225,38 @@ def orbit_term_three_gcds(pair: EndoPair):
         raw = tuple(t.divexact(g) for t in raw)
     lead = raw[3].lead().inverse()
     return tuple(t.scale(lead) for t in raw)
+
+
+def compose_matrix_rows(polys, mat):
+    """``poly.compose_matrix_many`` as it was before Horner's rule, for every
+    matrix: the image of each monomial x^i y^(d-i) as the full product
+    A^i B^(d-i) of the powers of A = m11 x + m12 y and B = m21 x + m22 y,
+    each row shared by the forms of one degree, accumulated per form."""
+    degs = {p.d for p in polys if p.u.c}
+    if not degs:
+        return list(polys)
+    if len(degs) != 1:
+        return [compose_matrix_rows((p,), mat)[0] for p in polys]
+    d = degs.pop()
+    m11, m12, m21, m22 = (CycNum(v) for v in mat)
+    lin_a, lin_b = UPoly([m12, m11]), UPoly([m22, m21])
+    pows_a, pows_b = [UPoly.const(1)], [UPoly.const(1)]
+    for _ in range(d):
+        pows_a.append(pows_a[-1] * lin_a)
+        pows_b.append(pows_b[-1] * lin_b)
+    rows = {}
+    for i in {i for p in polys for i, v in enumerate(p.u.c) if v}:
+        image = pows_a[i] * pows_b[d - i]
+        rows[i] = [(k, r) for k, r in enumerate(image.c) if r]
+    out = []
+    for p in polys:
+        if not p.u.c:
+            out.append(p)
+            continue
+        acc = [CycNum(0)] * (d + 1)
+        for i, v in enumerate(p.u.c):
+            if v:
+                for k, r in rows[i]:
+                    acc[k] = acc[k] + v * r
+        out.append(HPoly2(d, UPoly(acc)))
+    return out

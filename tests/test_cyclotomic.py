@@ -164,6 +164,24 @@ def test_trial_division_stops_past_the_cap():
         set_conductor_cap(256)
 
 
+def test_try_sqrt_does_not_depend_on_earlier_caps():
+    # the square root of 263 lives over conductor 4 * 263 = 1052, of field
+    # degree 524: within cap 600, above cap 256, in either order of calls
+    def root_found(cap):
+        previous = set_conductor_cap(cap)
+        try:
+            if cap < 524:   # the cached Gauss sum is not handed out either
+                with pytest.raises(ConductorCapError):
+                    cyclotomic._sqrt_prime(263)
+            s = try_sqrt(CycNum(263))
+            return s is not None and s * s == 263 and s.m == 1052
+        finally:
+            set_conductor_cap(previous)
+
+    for caps in ((256, 600, 256), (600, 256, 600)):
+        assert [root_found(cap) for cap in caps] == [cap == 600 for cap in caps]
+
+
 def test_textual_form_round_trip():
     from equicurve.parsing import parse_constant
     vals = [CycNum(Fraction(-3, 7)), root_of_unity(8, 3) * 2 + 1,

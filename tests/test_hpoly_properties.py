@@ -1,16 +1,17 @@
 """Properties of HPoly2, the (degree, dehomogenization) view over UPoly:
 exact division, gcd and squarefree parts with x^k and y^k factors, and one
 substitution routine for single forms, lists of mixed degrees, and diagonal,
-antidiagonal and generic matrices."""
+antidiagonal and generic matrices, checked against a reference that expands
+the image of every monomial."""
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from equicurve.cyclotomic import CycNum, euler_phi
+from equicurve.cyclotomic import CycNum, euler_phi, root_of_unity
 from equicurve.errors import ZeroPolynomialError
 from equicurve.poly import HPoly2, compose_matrix_many
-from oracles import eval_equal
+from oracles import compose_matrix_rows, eval_equal
 
 PROPERTY = settings(derandomize=True, max_examples=40, deadline=None)
 X, Y = HPoly2.term(1, 1, 0), HPoly2.term(1, 0, 1)
@@ -110,3 +111,68 @@ def test_compose_matrix_many_same_degree(polys, mat):
     for p, moved in zip(polys, compose_matrix_many(polys, mat)):
         assert moved == p.compose_matrix(mat)
         assert eval_equal(moved, p, mat=mat)
+
+
+# -- Horner's rule against the monomial-row reference ---------------------------
+
+FIELDS = (1, 4, 3, 5)   # Q, Q(i), Q(zeta_3), Q(zeta_5)
+
+
+def field_scalar(draw, m, nonzero=False):
+    cs = draw(st.lists(st.integers(-9, 9), min_size=euler_phi(m),
+                       max_size=euler_phi(m)))
+    v = CycNum.from_coeffs(m, cs)
+    return v if v or not nonzero else CycNum(1)
+
+
+@st.composite
+def substitution_cases(draw, m_form, m_mat):
+    """(forms, matrices): up to three forms over Q(zeta_m_form) of degree up
+    to 30, zero, y-divisible, sparse or dense, of one degree or of mixed
+    degrees, and a generic, a diagonal and an antidiagonal matrix over
+    Q(zeta_m_mat)."""
+    mixed = draw(st.booleans())
+    d0 = draw(st.integers(0, 30))
+    polys = []
+    for _ in range(draw(st.integers(1, 3))):
+        d = draw(st.integers(0, 30)) if mixed else d0
+        if draw(st.integers(0, 5)) == 5:
+            polys.append(HPoly2.zero())
+            continue
+        top = d - draw(st.integers(0, min(d, 3)))   # y^(d - top) divides it
+        sparse = draw(st.booleans())
+        coeffs = {i: field_scalar(draw, m_form) for i in range(top)
+                  if not sparse or draw(st.integers(0, 3)) == 3}
+        coeffs[top] = field_scalar(draw, m_form, nonzero=True)
+        polys.append(HPoly2(d, coeffs))
+    a, b, c, e = (field_scalar(draw, m_mat) for _ in range(4))
+    return polys, ((a, b, c, e), (a, 0, 0, e), (0, b, c, 0))
+
+
+@pytest.mark.parametrize("m_mat", FIELDS)
+@pytest.mark.parametrize("m_form", FIELDS)
+def test_horner_matches_the_monomial_rows(m_form, m_mat):
+    @settings(derandomize=True, max_examples=10, deadline=None)
+    @given(substitution_cases(m_form, m_mat))
+    def check(case):
+        polys, mats = case
+        for mat in mats:
+            got = compose_matrix_many(polys, mat)
+            want = compose_matrix_rows(polys, mat)
+            assert got == want
+            if m_form == m_mat or 1 in (m_form, m_mat):
+                # in one field a value has one printed form, whatever the path
+                assert [str(p) for p in got] == [str(p) for p in want]
+
+    check()
+
+
+def test_horner_at_degree_60_over_q_zeta_5():
+    z = root_of_unity(5)
+    f = HPoly2(60, {i: CycNum.from_coeffs(5, [(7 * i + 3 * k) % 1021 - 510
+                                              for k in range(4)])
+                    for i in range(61)})
+    mat = (1 + z, 2, z * z - 1, 3)
+    moved = f.compose_matrix(mat)
+    assert moved.degree == 60
+    assert eval_equal(moved, f, mat=mat)
