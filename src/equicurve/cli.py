@@ -143,6 +143,8 @@ def _cmd_preset(args) -> dict:
     from .embed3 import preset_family
     if args.kind == "tetrahedral" and args.n is not None:
         raise ParseError("--n applies to the cyclic and dihedral presets only")
+    if args.kind != "tetrahedral" and args.n is None:
+        raise ParseError(f"the {args.kind} preset needs --n")
     fam = preset_family(args.kind, args.n, parse_pairs(args.pairs),
                         require_squarefree=not args.allow_multiplicity)
     return {

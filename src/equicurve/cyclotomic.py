@@ -44,10 +44,14 @@ def _over_cap(m: int) -> ConductorCapError:
                              f"{_conductor_cap}; raise it with set_conductor_cap()")
 
 
-def _check_cap(m: int) -> None:
+def _within_cap(m: int) -> bool:
     # phi(m) >= sqrt(m / 2), so a conductor above 2 cap^2 is over the cap
     # and is rejected before it is factored
-    if m > 2 * _conductor_cap ** 2 or euler_phi(m) > _conductor_cap:
+    return m <= 2 * _conductor_cap ** 2 and euler_phi(m) <= _conductor_cap
+
+
+def _check_cap(m: int) -> None:
+    if not _within_cap(m):
         raise _over_cap(m)
 
 
@@ -164,8 +168,16 @@ def _embed(nums: tuple[int, ...], m: int, big: int) -> tuple[int, ...]:
     if m == big:
         return nums
     _check_cap(big)
+    return _lift(nums, m, big)
+
+
+def _lift(nums, m: int, big: int) -> tuple[int, ...]:
+    """Numerators of Q(zeta_m) rewritten over Q(zeta_big), big a multiple
+    of m; no cap check."""
+    if m == big:
+        return tuple(nums)
     if m == 1:
-        return nums + (0,) * (euler_phi(big) - 1)
+        return tuple(nums) + (0,) * (euler_phi(big) - 1)
     return tuple(_lincomb(nums, _power_rows(big, big // m, len(nums)),
                           [0] * euler_phi(big)))
 
@@ -271,7 +283,8 @@ class CycNum:
         if self.m == other.m:
             return self.m, self.nums, other.nums
         big = lcm(self.m, other.m)
-        return big, _embed(self.nums, self.m, big), _embed(other.nums, other.m, big)
+        _check_cap(big)
+        return big, _lift(self.nums, self.m, big), _lift(other.nums, other.m, big)
 
     def _plus(self, other, sign: int):
         o = other if type(other) is CycNum else self._coerce(other)

@@ -11,13 +11,27 @@ Four shapes cover everything the constructions need:
 """
 from __future__ import annotations
 
+import sys
+from array import array
 from fractions import Fraction
+from math import gcd, lcm
 
-from .cyclotomic import CycNum, _power, as_cyc
+from .cyclotomic import (CycNum, _check_cap, _descent_solver, _lift,
+                         _mul_nums, _normal, _power, _power_rows,
+                         _within_cap, as_cyc, euler_phi)
 from .errors import DegreeMismatchError, ZeroPolynomialError
 
 _C0 = CycNum(0)
 _C1 = CycNum(1)
+# A UPoly product runs through the integer kernel, whose cost is about one
+# coefficient product per output coefficient plus a fixed part, when its
+# pairs of nonzero coefficients outnumber the sum of the operands' lengths
+# by at least this much; through the pairwise loop otherwise (measured
+# crossover, see ROADMAP item 4)
+_PACKED_EXTRA = 8
+# forms with more coefficients are substituted by divide and conquer
+_SPLIT_MIN = 8
+_ORDER = sys.byteorder
 
 
 def _fmt_term(c: CycNum, mono: str, first: bool) -> str:
@@ -40,6 +54,178 @@ def _upoly(cs: list) -> "UPoly":
         cs.pop()
     out = object.__new__(UPoly)
     out.c = tuple(cs)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# The integer kernel: a polynomial over Q(zeta_m) as rows of integer
+# numerators over one denominator, and a product of two of them as one
+# bigint product (Kronecker substitution: von zur Gathen and Gerhard, Modern
+# Computer Algebra, 8.4).
+
+# array typecodes by item size, for digits of 1, 2, 4 and 8 bytes
+_WORDS = {array(code).itemsize: code for code in "BHIQ"}
+
+
+def _scan(cs) -> tuple[dict, int, int]:
+    """(supports, m, den) of the CycNums cs: supports maps (rational,
+    stored conductor) to the bit mask of the indices of those nonzero
+    entries, m is the lcm of the conductors of the non-rational entries and
+    den the lcm of the denominators."""
+    supports, m = {}, 1
+    for i, v in enumerate(cs):
+        nums = v.nums
+        if any(nums[1:]):
+            key = (False, v.m)
+            if v.m != m:
+                m = lcm(m, v.m)
+        elif nums[0]:
+            key = (True, v.m)
+        else:
+            continue
+        supports[key] = supports.get(key, 0) | 1 << i
+    return supports, m, lcm(*{v.den for v in cs})
+
+
+def _numerators(cs, m: int, den: int, rational: bool) -> list:
+    """The rows of numerators of the entries of cs over the denominator den
+    in the power basis of Q(zeta_m), which contains them all; one numerator
+    per row if ``rational``, when every entry is."""
+    if rational:
+        return [(v.nums[0] * (den // v.den),) for v in cs]
+    rows = []
+    for v in cs:
+        nums = v.nums
+        if v.m != m:
+            nums = _lift(nums[:1], 1, m) if not any(nums[1:]) else \
+                _lift(nums, v.m, m)
+        s = den // v.den
+        rows.append([x * s for x in nums] if s != 1 else nums)
+    return rows
+
+
+def _to_int(digits: list, width: int) -> int:
+    # digits in [0, 2^(8 width)), least significant first
+    code = _WORDS.get(width)
+    data = array(code, digits).tobytes() if code else \
+        b"".join([v.to_bytes(width, _ORDER) for v in digits])
+    return int.from_bytes(data, _ORDER)
+
+
+def _from_int(n: int, width: int, count: int) -> list:
+    data = n.to_bytes(count * width, _ORDER)
+    code = _WORDS.get(width)
+    if code:
+        return array(code, data).tolist()
+    return [int.from_bytes(data[o:o + width], _ORDER)
+            for o in range(0, count * width, width)]
+
+
+def _kron_mul(a: list, b: list, m: int) -> list:
+    """Rows of the product of the row polynomials a and b over Q(zeta_m).
+
+    Each x-coefficient gets a slot of wa + wb - 1 digits (wa, wb the row
+    lengths), each digit wide enough for the exact bound on a digit of the
+    product and biased to be non-negative, so one bigint product holds every
+    product of rows.  Each x-coefficient is then reduced mod Phi_m once, by
+    the cached power rows.
+    """
+    wa, wb = len(a[0]), len(b[0])
+    slot = wa + wb - 1
+
+    def flat(rows, w):
+        if w == slot:
+            return [v for row in rows for v in row]
+        pad = (0,) * (slot - w)
+        return [v for row in rows for v in (*row, *pad)]
+
+    fa, fb = flat(a, wa), flat(b, wb)
+    top_a, top_b = max(max(fa), -min(fa)), max(max(fb), -min(fb))
+    bound = max(min(len(a), len(b)) * min(wa, wb) * top_a * top_b, top_a, top_b)
+    width = bound.bit_length() // 8 + 1   # a spare bit for the bias
+    if width <= 8:
+        width = 1 << (width - 1).bit_length()
+    half = 1 << 8 * width - 1
+    biased = half.to_bytes(width, _ORDER)
+
+    def pack(digits):
+        return _to_int([v + half for v in digits], width) - \
+            int.from_bytes(biased * len(digits), _ORDER)
+
+    n = (len(a) + len(b) - 1) * slot
+    prod = pack(fa) * pack(fb) + int.from_bytes(biased * n, _ORDER)
+    digits = [v - half for v in _from_int(prod, width, n)]
+    phi = euler_phi(m)
+    cols = [digits[j::slot] for j in range(min(slot, phi))]
+    for i, row in enumerate(_power_rows(m, 1, slot - phi, phi) if slot > phi
+                            else ()):
+        high = digits[phi + i::slot]
+        for j, v in row:
+            cols[j] = [x + v * h for x, h in zip(cols[j], high)]
+    return list(zip(*cols))
+
+
+def _stored(row, m: int, big: int, den: int) -> CycNum:
+    """The value row/den of Q(zeta_m) (rational if row has one entry),
+    stored over Q(zeta_big), which must contain it."""
+    if len(row) == 1:
+        m = 1
+    if m != big:
+        g = gcd(m, big)   # the value lies in Q(zeta_g)
+        if g == 1:
+            row = row[:1]
+        elif g != m:
+            solve, _, scale = _descent_solver(m, g)
+            row = [sum(v * row[j] for j, v in r) for r in solve]
+            den *= scale
+        row = _lift(row, g, big)
+    return _normal(big, row, den)
+
+
+def _sumset(s: int, t: int) -> int:
+    # the bit mask of {i + j : i in s, j in t}
+    out = 0
+    while s:
+        low = s & -s
+        out |= t << low.bit_length() - 1
+        s ^= low
+    return out
+
+
+def _product(a, b) -> list | None:
+    """Coefficients of (sum a_i x^i)(sum b_j x^j), each stored as the
+    pairwise loop stores it: coefficient k over the lcm, over the pairs
+    i + j = k of nonzero entries, of the conductor of a_i * b_j (a_i's if
+    b_j is rational, else b_j's if a_i is rational, else their lcm); the
+    shared zero where no pair reaches k.  None if the field that holds both
+    operands is over the conductor cap, which the pairwise loop, working in
+    the field of each pair, may never reach."""
+    sa, ma, da = _scan(a)
+    sb, mb, db = _scan(b)
+    m = lcm(ma, mb)
+    if not _within_cap(m):
+        return None
+    rows = _kron_mul(_numerators(a, m, da, ma == 1),
+                     _numerators(b, m, db, mb == 1), m)
+    reach = {}   # conductor -> bit mask of the coefficients it reaches
+    for (rat_a, ca), ia in sa.items():
+        for (rat_b, cb), ib in sb.items():
+            c = ca if rat_b else cb if rat_a else lcm(ca, cb)
+            reach[c] = reach.get(c, 0) | _sumset(ia, ib)
+    stored = {v.m for v in a} | {v.m for v in b}
+    den = da * db
+    out = []
+    for k, row in enumerate(rows):
+        big = 0
+        for c, mask in reach.items():
+            if mask >> k & 1:
+                big = lcm(big, c) if big else c
+        if not big:
+            out.append(_C0)
+            continue
+        if big not in stored:
+            _check_cap(big)
+        out.append(_stored(row, m, big, den))
     return out
 
 
@@ -111,12 +297,16 @@ class UPoly:
         a, b = self.c, other.c
         if not a or not b:
             return UPoly()
+        na = [(i, ai) for i, ai in enumerate(a) if ai]
+        nb = [(j, bj) for j, bj in enumerate(b) if bj]
+        if len(na) * len(nb) >= len(a) + len(b) + _PACKED_EXTRA:
+            out = _product(a, b)
+            if out is not None:
+                return _upoly(out)
         out = [_C0] * (len(a) + len(b) - 1)
-        nz = [(j, bj) for j, bj in enumerate(b) if bj]
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in nz:
-                    out[i + j] = out[i + j] + ai * bj
+        for i, ai in na:
+            for j, bj in nb:
+                out[i + j] = out[i + j] + ai * bj
         return _upoly(out)
 
     __rmul__ = __mul__
@@ -529,27 +719,68 @@ class HPoly2:
     __repr__ = __str__
 
 
-def _times_linear(cs: list, c0: CycNum, c1: CycNum) -> list:
-    """Coefficients of (sum_i cs[i] x^i) * (c1 x + c0)."""
-    out = [v * c0 for v in cs] if c0 else [_C0] * len(cs)
-    out.append(_C0)
-    if c1:
-        for i, v in enumerate(cs, 1):
-            out[i] = out[i] + v * c1
+def _scaled(row, c, m: int) -> list:
+    """row times c over Q(zeta_m): c an integer, or a row of numerators."""
+    return [x * c for x in row] if type(c) is int else _mul_nums(m, row, c)
+
+
+def _times_linear(cs: list, c0, c1, m: int) -> list:
+    """Rows of (sum_i cs[i] x^i) * (c1 x + c0) over Q(zeta_m)."""
+    zero = [0] * len(cs[0])
+    low = [_scaled(v, c0, m) for v in cs] + [zero]
+    high = [zero] + [_scaled(v, c1, m) for v in cs]
+    return [[x + y for x, y in zip(u, v)] for u, v in zip(low, high)]
+
+
+def _substitute(cs: list, d: int, a: tuple, power, m: int) -> list:
+    """Rows of f(A, B) over Q(zeta_m), for the form f = sum_i cs[i] x^i
+    y^(d-i) (cs as scalars for ``_scaled``), A = a[1] x + a[0] and
+    ``power(i, j)`` the rows of A^j (i = 0) or B^j (i = 1).
+
+    Up to ``_SPLIT_MIN`` coefficients, Horner's rule: S_t = c_t B^(d-t) and
+    S_k = S_(k+1) A + c_k B^(d-k), t the highest x-exponent.  Above, divide
+    and conquer: with f = y^(d-h+1) g + x^h k, g of degree h - 1 and k of
+    degree d - h, f(A, B) = B^(d-h+1) g(A, B) + A^h k(A, B), the two
+    products packed.
+    """
+    if not any(cs):
+        return [[0] * len(power(1, 0)[0])] * (d + 1)
+    top = len(cs) - 1
+    if top < _SPLIT_MIN:
+        acc = [_scaled(v, cs[top], m) for v in power(1, d - top)]
+        for k in range(top - 1, -1, -1):
+            acc = _times_linear(acc, a[0], a[1], m)
+            c = cs[k]
+            if c:
+                for j, v in enumerate(power(1, d - k)):
+                    acc[j] = [x + y for x, y in zip(acc[j], _scaled(v, c, m))]
+        return acc
+    h = len(cs) // 2
+    g = _substitute(cs[:h], h - 1, a, power, m)
+    k = _substitute(cs[h:], d - h, a, power, m)
+    out = _kron_mul(power(1, d - h + 1), g, m)
+    high = _kron_mul(power(0, h), k, m)
+    for i, v in enumerate(high):
+        out[i] = [x + y for x, y in zip(out[i], v)]
     return out
 
 
 def compose_matrix_many(polys, mat):
     """Substitute (x, y) <- (m11 x + m12 y, m21 x + m22 y) into each form.
 
-    Horner's rule, with A = m11 x + m12 y and B = m21 x + m22 y: a form
-    sum_i c_i x^i y^(d-i) whose highest x-exponent is t maps to S_0, where
-    S_t = c_t B^(d-t) and S_k = S_(k+1) A + c_k B^(d-k).  The powers of B
-    (about d^2 coefficient products) are shared by the forms of one degree;
-    each form then costs about 1.5 d^2 products (d^2 for the products by A,
-    d^2/2 for the terms c_k B^(d-k)), where expanding the image of every
-    monomial costs about d^3/6 (at d = 60 over Q(zeta_5): 9211 products in
-    place of 50752).  Forms of mixed degrees are substituted one at a time.
+    The forms of one degree d and the matrix are brought to one conductor,
+    with one denominator per form and one, D, for the matrix.  The image of
+    a form f is f(A, B) / (den(f) D^d), where A = D (m11 x + m12 y) and
+    B = D (m21 x + m22 y) have integer numerators, and f(A, B) is computed
+    in integer numerator rows by :func:`_substitute`: Horner's rule at low
+    degree (about 1.5 d^2 products of rows per form), divide and conquer on
+    packed products above.  The powers of A and B are shared by the forms,
+    and a rational scalar scales a row instead of multiplying it.  Each
+    image coefficient is one CycNum, stored over the lcm of the conductors
+    of the form's nonzero entries and of the matrix's non-rational entries
+    that reach it: m11 and m21 for x^d, m12 and m22 for y^d, all four for
+    the others.  Forms of mixed degrees, or in different fields once the
+    matrix's entries are adjoined, are substituted one at a time.
     Under a diagonal or antidiagonal matrix each monomial maps to a multiple
     of one monomial.
     """
@@ -559,7 +790,8 @@ def compose_matrix_many(polys, mat):
     if len(degs) != 1:
         return [compose_matrix_many((p,), mat)[0] for p in polys]
     d = degs.pop()
-    m11, m12, m21, m22 = (as_cyc(v) for v in mat)
+    entries = tuple(as_cyc(v) for v in mat)
+    m11, m12, m21, m22 = entries
     diagonal = not m12 and not m21
     if diagonal or (not m11 and not m22):
         ca, cb = (m11, m22) if diagonal else (m12, m21)
@@ -574,26 +806,54 @@ def compose_matrix_many(polys, mat):
                 cs = [_C0] * (d + 1 - len(cs)) + cs[::-1]
             out.append(HPoly2(d, _upoly(cs)))
         return out
-    # pows_b[j]: the coefficients of B^j, up to the largest power a form reads
-    low = min(p.x_valuation() for p in polys if p.u.c)
-    pows_b = [[_C1]]
-    for _ in range(d - low):
-        pows_b.append(_times_linear(pows_b[-1], m22, m21))
+    scans = [_scan(p.u.c) if p.u.c else None for p in polys]
+    _, m, den = _scan(entries)
+    fields = {lcm(m, s[1]) for s in scans if s}
+    if len(fields) != 1:
+        # rows at the lcm of every form's field would cost more than
+        # the powers of A and B they share
+        return [compose_matrix_many((p,), mat)[0] for p in polys]
+    m = fields.pop()
+    # the conductors of the non-rational entries that reach the coefficient
+    # of x^d (m11, m21), of y^d (m12, m22) and the others (all four)
+    top, bottom = ([v.m for v in vs if any(v.nums[1:])]
+                   for vs in ((m11, m21), (m12, m22)))
+
+    def scalars(rows):
+        return [r[0] if not any(r[1:]) else r for r in rows]
+
+    e11, e12, e21, e22 = scalars(_numerators(entries, m, den, m == 1))
+    a, b = (e12, e11), (e22, e21)   # A = e11 x + e12, B = e21 x + e22
+    one = [1] + [0] * (euler_phi(m) - 1)
+    pows = ({0: [one]}, {0: [one]})
+
+    def power(i, j):
+        # rows of A^j (i = 0) or B^j (i = 1): one step up from j - 1 while
+        # Horner's rule reads them in turn, else a packed product of halves
+        table = pows[i]
+        if j not in table:
+            c0, c1 = (a, b)[i]
+            table[j] = _times_linear(power(i, j - 1), c0, c1, m) \
+                if j <= _SPLIT_MIN or j - 1 in table else \
+                _kron_mul(power(i, j // 2), power(i, j - j // 2), m)
+        return table[j]
+
     out = []
-    for p in polys:
-        cs = p.u.c
-        if not cs:
+    for p, scan in zip(polys, scans):
+        if not scan:
             out.append(p)
             continue
-        top = len(cs) - 1
-        acc = [cs[top] * v for v in pows_b[d - top]]
-        for k in range(top - 1, -1, -1):
-            acc = _times_linear(acc, m12, m11)
-            c = cs[k]
-            if c:
-                for j, v in enumerate(pows_b[d - k]):
-                    acc[j] = acc[j] + c * v
-        out.append(HPoly2(d, _upoly(acc)))
+        supports, _, f_den = scan
+        own = [c for _, c in supports]
+        low, high, mid = (lcm(*own, *c) for c in (bottom, top, bottom + top))
+        for c in {low, high, mid} - set(own) - {v.m for v in entries}:
+            _check_cap(c)
+        rows = _substitute(scalars(_numerators(p.u.c, m, f_den, m == 1)),
+                           d, a, power, m)
+        conductors = [low] + [mid] * (d - 1) + [high] if d else [lcm(*own)]
+        f_den *= den ** d
+        out.append(HPoly2(d, _upoly([_stored(r, m, c, f_den)
+                                     for r, c in zip(rows, conductors)])))
     return out
 
 

@@ -260,3 +260,19 @@ def compose_matrix_rows(polys, mat):
                     acc[k] = acc[k] + v * r
         out.append(HPoly2(d, UPoly(acc)))
     return out
+
+
+def upoly_mul_loop(a: UPoly, b: UPoly) -> UPoly:
+    """``UPoly.__mul__`` as it was before the integer kernel: one CycNum
+    product and one sum per pair of nonzero coefficients, so each output
+    coefficient is stored over the conductor the sums arrive at."""
+    a, b = a.c, b.c
+    if not a or not b:
+        return UPoly()
+    out = [CycNum(0)] * (len(a) + len(b) - 1)
+    nz = [(j, bj) for j, bj in enumerate(b) if bj]
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in nz:
+                out[i + j] = out[i + j] + ai * bj
+    return UPoly(out)

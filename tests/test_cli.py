@@ -52,6 +52,11 @@ def test_construction_error_exit_3():
     code, text = run(["aut", "--lambda", "[0:1],[1:1]"])
     assert code == 3
     assert "construction error" in text
+    # a value that parses but fails a precondition of the construction
+    code, text = run(["preset", "--kind", "dihedral", "--n", "1",
+                      "--pairs", "(0, 1)"])
+    assert code == 3
+    assert text.startswith("construction error")
 
 
 def test_verify_extension_pass_and_fail():
@@ -197,6 +202,10 @@ _EXTEND = ["verify-extension", "--F", "X; Y; Z", "--tau", "x; 1/(x^2 - x); 0",
      "parse error: --n must be at most --group-cap (12), got 13"),
     (["preset", "--kind", "tetrahedral", "--pairs", "(0, 1)", "--n", "3"],
      "parse error: --n applies to the cyclic and dihedral presets only"),
+    (["preset", "--kind", "cyclic", "--pairs", "(0, 1)"],
+     "parse error: the cyclic preset needs --n"),
+    (["preset", "--kind", "dihedral", "--pairs", "(0, 1)"],
+     "parse error: the dihedral preset needs --n"),
     (_PLANAR[:2] + ["x^" + "9" * 40] + _PLANAR[3:],
      f"parse error: exponent {'9' * 40} at position 2 exceeds 64"),
     (_PLANAR[:2] + ["(1 + x)^64^64"] + _PLANAR[3:],
@@ -216,7 +225,8 @@ _EXTEND = ["verify-extension", "--F", "X; Y; Z", "--tau", "x; 1/(x^2 - x); 0",
     (_PLANAR + ["--cap", "200"],
      "parse error: witness degree cap 200 exceeds 24"),
 ], ids=["conductor-cap", "group-cap", "cap", "k", "n", "k-range", "n-range",
-        "n-huge", "n-above-group-cap", "n-tetrahedral", "huge-exponent",
+        "n-huge", "n-above-group-cap", "n-tetrahedral", "n-missing-cyclic",
+        "n-missing-dihedral", "huge-exponent",
         "chained-exponent", "nested-exponent", "chained-constant-exponent",
         "many-terms-power", "many-terms-product", "substitution-degree",
         "witness-degree-cap"])
@@ -348,3 +358,26 @@ def test_cli_fuzz_exits_with_a_status_and_one_line(data):
     assert code in (0, 1, 2, 3), argv
     if code in (2, 3):
         assert len(text.splitlines()) == 1, (argv, text)
+
+
+# -- relabeling: a report depends on the set of points, not on their order --------
+
+_POINT_SETS = (
+    ("[0:1]", "[1:1]", "[-1:1]", "[1:0]"),
+    ("[1:1]", "[-1:1]", "[2:1]", "[-2:1]"),
+    ("[0:1]", "[2:1]", "[1:0]", "[1/3:1]", "[-5:2]"),
+    ("[1:1]", "[cyc(4; 0, 1):1]", "[-1:1]", "[cyc(4; 0, -1):1]"),
+    ("[0:1]", "[1:0]", "[1:1]", "[-1:1]", "[cyc(4; 0, 1):1]",
+     "[cyc(4; 0, -1):1]"),
+    ("[1:1]", "[-1:1]", "[cyc(4; 1, 1):1]", "[cyc(4; -1, -1):1]"),
+)
+
+
+@settings(derandomize=True, max_examples=16, deadline=None)
+@given(st.data())
+def test_reports_do_not_depend_on_the_order_of_the_points(data):
+    points = data.draw(st.sampled_from(_POINT_SETS))
+    shuffled = data.draw(st.permutations(points))
+    for command in ("aut", "embed", "delta"):
+        assert run([command, "--lambda", ",".join(shuffled)]) == \
+            run([command, "--lambda", ",".join(points)]), (command, shuffled)

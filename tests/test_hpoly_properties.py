@@ -8,10 +8,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from equicurve.cyclotomic import CycNum, euler_phi, root_of_unity
+from equicurve import poly
+from equicurve.cyclotomic import (CycNum, euler_phi, root_of_unity,
+                                  set_conductor_cap)
 from equicurve.errors import ZeroPolynomialError
-from equicurve.poly import HPoly2, compose_matrix_many
-from oracles import compose_matrix_rows, eval_equal
+from equicurve.poly import HPoly2, UPoly, compose_matrix_many
+from equicurve.projline import Moebius, group_closure, sl2_pullback
+from oracles import compose_matrix_rows, eval_equal, upoly_mul_loop
 
 PROPERTY = settings(derandomize=True, max_examples=40, deadline=None)
 X, Y = HPoly2.term(1, 1, 0), HPoly2.term(1, 0, 1)
@@ -176,3 +179,97 @@ def test_horner_at_degree_60_over_q_zeta_5():
     moved = f.compose_matrix(mat)
     assert moved.degree == 60
     assert eval_equal(moved, f, mat=mat)
+    # form and matrix lie in one field, so the printed forms agree too
+    assert str(moved) == str(compose_matrix_rows((f,), mat)[0])
+
+
+def test_edge_coefficients_keep_the_field_of_their_two_entries():
+    # the coefficient of y^d is f(m12, m22) and that of x^d is f(m11, m21),
+    # so an entry of another field that reaches neither leaves them alone
+    i, w = root_of_unity(4), root_of_unity(3)
+    f = HPoly2(2, {2: 1, 1: 3, 0: i})
+    for mat in ((w, 1, 1, 2), (1, w, 2, 1)):
+        moved = f.compose_matrix(mat)
+        assert str(moved) == str(compose_matrix_rows((f,), mat)[0])
+        assert "cyc(4; 7, 4)" in str(moved)
+
+
+def test_degree_24_form_under_an_octahedral_lift():
+    i = root_of_unity(4)
+    G = sl2_pullback(group_closure([Moebius(i, i, 1, -1), Moebius(i, 0, 0, 1)]))
+    # a lift over Q(zeta_8) with four nonzero entries: the generic path
+    g = next(g for g in G.elements
+             if all(g.entries()) and any(v.m == 8 for v in g.entries()))
+    f = HPoly2(24, {k: (-1) ** k * (k * k % 11 - 5) for k in range(25)})
+    mat = g.entries()
+    moved = f.compose_matrix(mat)
+    assert moved == compose_matrix_rows((f,), mat)[0]
+    assert eval_equal(moved, f, mat=mat)
+
+
+# -- the integer product kernel against the pairwise loop -----------------------
+
+KERNEL_FIELDS = (1, 4, 3, 5, 12)   # Q, Q(i), Q(zeta_3), Q(zeta_5), Q(zeta_12)
+
+
+@st.composite
+def kernel_scalars(draw, fields, nonzero=False):
+    """Zero, a rational stored over Q(zeta_m) (m = 1 too), or any value of
+    Q(zeta_m), with numerators of either sign, some of 2^64 and more, over
+    varying denominators."""
+    kind = draw(st.integers(int(nonzero), 4))
+    if kind == 0:
+        return CycNum(0)
+    m = draw(st.sampled_from(fields))
+    top = 2 ** 70 if draw(st.integers(0, 4)) == 0 else 9
+    nums = st.integers(-top, top)
+    cs = [draw(nums)] + ([0] * (euler_phi(m) - 1) if kind == 1 else
+                         [draw(nums) for _ in range(euler_phi(m) - 1)])
+    den = draw(st.integers(1, 6))
+    v = CycNum.from_coeffs(m, [Fraction(c, den) for c in cs])
+    return v if v or not nonzero else CycNum(-1)
+
+
+@st.composite
+def kernel_polys(draw):
+    """A UPoly of 1 to 24 coefficients over one to three of the fields."""
+    fields = draw(st.lists(st.sampled_from(KERNEL_FIELDS), min_size=1,
+                           max_size=3, unique=True))
+    n = draw(st.integers(1, 24))
+    cs = [draw(kernel_scalars(fields)) for _ in range(n - 1)]
+    return UPoly(cs + [draw(kernel_scalars(fields, nonzero=True))])
+
+
+def _stored_forms(p):
+    return [(v.m, v.nums, v.den) for v in p.c]
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(kernel_polys(), kernel_polys())
+def test_product_kernel_stores_what_the_loop_stores(a, b):
+    want = _stored_forms(upoly_mul_loop(a, b))
+    # the kernel at every size, and the product on either side of the cutoff
+    assert _stored_forms(UPoly(poly._product(a.c, b.c))) == want
+    assert _stored_forms(a * b) == want
+
+
+@settings(derandomize=True, max_examples=20, deadline=None)
+@given(st.data())
+def test_product_over_the_cap_stays_with_the_loop(data):
+    # a: a block over Q(zeta_5) and, past a gap, one over Q(zeta_7); b over
+    # Q(zeta_3), no longer than the gap.  Every coefficient of a * b then
+    # lies in Q(zeta_15) or Q(zeta_21), but the field of both operands,
+    # Q(zeta_105) of degree 48, is over a cap of 24
+    def block(m):
+        cs = data.draw(st.lists(kernel_scalars((m,), nonzero=True),
+                                min_size=3, max_size=6))
+        return cs + [root_of_unity(m) + data.draw(st.integers(-3, 3))]
+    b = UPoly(block(3))
+    gap = len(b.c) - 1 + data.draw(st.integers(0, 2))
+    a = UPoly(block(5) + [CycNum(0)] * gap + block(7))
+    previous = set_conductor_cap(24)
+    try:
+        assert poly._product(a.c, b.c) is None
+        assert _stored_forms(a * b) == _stored_forms(upoly_mul_loop(a, b))
+    finally:
+        set_conductor_cap(previous)
