@@ -13,8 +13,8 @@ Conductors are kept normalized: m = 2 mod 4 never occurs, since
 Q(zeta_2k) = Q(zeta_k) for odd k.  Mixed-conductor arithmetic unifies into
 Q(zeta_lcm) automatically; growth past a configurable degree cap raises
 :class:`ConductorCapError`.  The stored conductor is the one the arithmetic
-produced.  ``reduced()`` finds the minimal one lazily, and ``hash`` uses it,
-so equal values hash equal across conductors.
+produced.  ``reduced()`` finds the minimal one lazily; ``hash`` and printing
+use it, so equal values hash equal and print alike across conductors.
 """
 from __future__ import annotations
 
@@ -229,8 +229,9 @@ class CycNum:
     power-basis coefficients and ``den`` their shared positive denominator,
     coprime to the content of ``nums``.  Immutable; mixing conductors
     unifies into the least common one.  Values that are equal hash equal
-    whatever their stored conductor: the hash is taken of the form over the
-    minimal conductor, and of the ``Fraction`` for a rational value.
+    and print alike whatever their stored conductor: the hash is taken of
+    the form over the minimal conductor (``reduced()``), and of the
+    ``Fraction`` for a rational value, and ``str`` prints that form.
     """
 
     __slots__ = ("m", "nums", "den")
@@ -448,10 +449,11 @@ class CycNum:
     # -- output -------------------------------------------------------------
 
     def __str__(self) -> str:
-        if self.is_rational():
-            return str(self.as_fraction())
-        return f"cyc({self.m}; " + ", ".join(
-            str(Fraction(v, self.den)) for v in self.nums) + ")"
+        x = self.reduced()   # equal values print alike, whatever the path
+        if x.m == 1:
+            return str(Fraction(x.nums[0], x.den))
+        return f"cyc({x.m}; " + ", ".join(
+            str(Fraction(v, x.den)) for v in x.nums) + ")"
 
     __repr__ = __str__
 

@@ -14,11 +14,10 @@ from __future__ import annotations
 import sys
 from array import array
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
-from .cyclotomic import (CycNum, _check_cap, _descent_solver, _lift,
-                         _mul_nums, _normal, _power, _power_rows,
-                         _within_cap, as_cyc, euler_phi)
+from .cyclotomic import (CycNum, _check_cap, _lift, _mul_nums, _normal,
+                         _power, _power_rows, _within_cap, as_cyc, euler_phi)
 from .errors import DegreeMismatchError, ZeroPolynomialError
 
 _C0 = CycNum(0)
@@ -27,7 +26,7 @@ _C1 = CycNum(1)
 # coefficient product per output coefficient plus a fixed part, when its
 # pairs of nonzero coefficients outnumber the sum of the operands' lengths
 # by at least this much; through the pairwise loop otherwise (measured
-# crossover, see ROADMAP item 4)
+# crossover; see the integer product kernel's entry in CHANGES.md)
 _PACKED_EXTRA = 8
 # forms with more coefficients are substituted by divide and conquer
 _SPLIT_MIN = 8
@@ -67,24 +66,14 @@ def _upoly(cs: list) -> "UPoly":
 _WORDS = {array(code).itemsize: code for code in "BHIQ"}
 
 
-def _scan(cs) -> tuple[dict, int, int]:
-    """(supports, m, den) of the CycNums cs: supports maps (rational,
-    stored conductor) to the bit mask of the indices of those nonzero
-    entries, m is the lcm of the conductors of the non-rational entries and
-    den the lcm of the denominators."""
-    supports, m = {}, 1
-    for i, v in enumerate(cs):
-        nums = v.nums
-        if any(nums[1:]):
-            key = (False, v.m)
-            if v.m != m:
-                m = lcm(m, v.m)
-        elif nums[0]:
-            key = (True, v.m)
-        else:
-            continue
-        supports[key] = supports.get(key, 0) | 1 << i
-    return supports, m, lcm(*{v.den for v in cs})
+def _scan(cs) -> tuple[int, int]:
+    """(m, den) of the CycNums cs: m is the lcm of the conductors of the
+    non-rational entries and den the lcm of the denominators."""
+    m = 1
+    for v in cs:
+        if v.m != m and any(v.nums[1:]):
+            m = lcm(m, v.m)
+    return m, lcm(*{v.den for v in cs})
 
 
 def _numerators(cs, m: int, den: int, rational: bool) -> list:
@@ -165,68 +154,24 @@ def _kron_mul(a: list, b: list, m: int) -> list:
     return list(zip(*cols))
 
 
-def _stored(row, m: int, big: int, den: int) -> CycNum:
-    """The value row/den of Q(zeta_m) (rational if row has one entry),
-    stored over Q(zeta_big), which must contain it."""
-    if len(row) == 1:
-        m = 1
-    if m != big:
-        g = gcd(m, big)   # the value lies in Q(zeta_g)
-        if g == 1:
-            row = row[:1]
-        elif g != m:
-            solve, _, scale = _descent_solver(m, g)
-            row = [sum(v * row[j] for j, v in r) for r in solve]
-            den *= scale
-        row = _lift(row, g, big)
-    return _normal(big, row, den)
-
-
-def _sumset(s: int, t: int) -> int:
-    # the bit mask of {i + j : i in s, j in t}
-    out = 0
-    while s:
-        low = s & -s
-        out |= t << low.bit_length() - 1
-        s ^= low
-    return out
+def _values(rows, m: int, den: int) -> list:
+    # the CycNums row/den of Q(zeta_m), the shared zero for a zero row
+    return [_normal(m, row, den) if any(row) else _C0 for row in rows]
 
 
 def _product(a, b) -> list | None:
-    """Coefficients of (sum a_i x^i)(sum b_j x^j), each stored as the
-    pairwise loop stores it: coefficient k over the lcm, over the pairs
-    i + j = k of nonzero entries, of the conductor of a_i * b_j (a_i's if
-    b_j is rational, else b_j's if a_i is rational, else their lcm); the
-    shared zero where no pair reaches k.  None if the field that holds both
-    operands is over the conductor cap, which the pairwise loop, working in
-    the field of each pair, may never reach."""
-    sa, ma, da = _scan(a)
-    sb, mb, db = _scan(b)
+    """Coefficients of (sum a_i x^i)(sum b_j x^j), stored over the field
+    Q(zeta_m) that holds both operands.  None if that field is over the
+    conductor cap, which the pairwise loop, working in the field of each
+    pair, may never reach."""
+    ma, da = _scan(a)
+    mb, db = _scan(b)
     m = lcm(ma, mb)
     if not _within_cap(m):
         return None
     rows = _kron_mul(_numerators(a, m, da, ma == 1),
                      _numerators(b, m, db, mb == 1), m)
-    reach = {}   # conductor -> bit mask of the coefficients it reaches
-    for (rat_a, ca), ia in sa.items():
-        for (rat_b, cb), ib in sb.items():
-            c = ca if rat_b else cb if rat_a else lcm(ca, cb)
-            reach[c] = reach.get(c, 0) | _sumset(ia, ib)
-    stored = {v.m for v in a} | {v.m for v in b}
-    den = da * db
-    out = []
-    for k, row in enumerate(rows):
-        big = 0
-        for c, mask in reach.items():
-            if mask >> k & 1:
-                big = lcm(big, c) if big else c
-        if not big:
-            out.append(_C0)
-            continue
-        if big not in stored:
-            _check_cap(big)
-        out.append(_stored(row, m, big, den))
-    return out
+    return _values(rows, m, da * db)
 
 
 # ---------------------------------------------------------------------------
@@ -537,8 +482,7 @@ class HPoly2:
     ``x^i y^(d-i)``.
 
     The arithmetic is :class:`UPoly`'s; the view only keeps the degree.  The
-    x-valuation is the number of low-order zeros of ``u``, the y-valuation
-    is ``d - u.degree``.  The zero polynomial has degree -1.
+    y-valuation is ``d - u.degree``.  The zero polynomial has degree -1.
     """
 
     __slots__ = ("d", "u")
@@ -580,11 +524,6 @@ class HPoly2:
     @property
     def degree(self) -> int:
         return self.d
-
-    def x_valuation(self) -> int:
-        if not self.u.c:
-            raise ZeroPolynomialError("valuation of zero")
-        return next(i for i, v in enumerate(self.u.c) if v)
 
     def y_valuation(self) -> int:
         if not self.u.c:
@@ -776,11 +715,10 @@ def compose_matrix_many(polys, mat):
     degree (about 1.5 d^2 products of rows per form), divide and conquer on
     packed products above.  The powers of A and B are shared by the forms,
     and a rational scalar scales a row instead of multiplying it.  Each
-    image coefficient is one CycNum, stored over the lcm of the conductors
-    of the form's nonzero entries and of the matrix's non-rational entries
-    that reach it: m11 and m21 for x^d, m12 and m22 for y^d, all four for
-    the others.  Forms of mixed degrees, or in different fields once the
-    matrix's entries are adjoined, are substituted one at a time.
+    image coefficient is stored over that one field Q(zeta_m), which must
+    be within the conductor cap.  Forms of mixed degrees, or in different
+    fields once the matrix's entries are adjoined, are substituted one at a
+    time.
     Under a diagonal or antidiagonal matrix each monomial maps to a multiple
     of one monomial.
     """
@@ -807,17 +745,14 @@ def compose_matrix_many(polys, mat):
             out.append(HPoly2(d, _upoly(cs)))
         return out
     scans = [_scan(p.u.c) if p.u.c else None for p in polys]
-    _, m, den = _scan(entries)
-    fields = {lcm(m, s[1]) for s in scans if s}
+    m, den = _scan(entries)
+    fields = {lcm(m, s[0]) for s in scans if s}
     if len(fields) != 1:
         # rows at the lcm of every form's field would cost more than
         # the powers of A and B they share
         return [compose_matrix_many((p,), mat)[0] for p in polys]
     m = fields.pop()
-    # the conductors of the non-rational entries that reach the coefficient
-    # of x^d (m11, m21), of y^d (m12, m22) and the others (all four)
-    top, bottom = ([v.m for v in vs if any(v.nums[1:])]
-                   for vs in ((m11, m21), (m12, m22)))
+    _check_cap(m)
 
     def scalars(rows):
         return [r[0] if not any(r[1:]) else r for r in rows]
@@ -843,17 +778,10 @@ def compose_matrix_many(polys, mat):
         if not scan:
             out.append(p)
             continue
-        supports, _, f_den = scan
-        own = [c for _, c in supports]
-        low, high, mid = (lcm(*own, *c) for c in (bottom, top, bottom + top))
-        for c in {low, high, mid} - set(own) - {v.m for v in entries}:
-            _check_cap(c)
+        f_den = scan[1]
         rows = _substitute(scalars(_numerators(p.u.c, m, f_den, m == 1)),
                            d, a, power, m)
-        conductors = [low] + [mid] * (d - 1) + [high] if d else [lcm(*own)]
-        f_den *= den ** d
-        out.append(HPoly2(d, _upoly([_stored(r, m, c, f_den)
-                                     for r, c in zip(rows, conductors)])))
+        out.append(HPoly2(d, _upoly(_values(rows, m, f_den * den ** d))))
     return out
 
 

@@ -231,7 +231,9 @@ def compose_matrix_rows(polys, mat):
     """``poly.compose_matrix_many`` as it was before Horner's rule, for every
     matrix: the image of each monomial x^i y^(d-i) as the full product
     A^i B^(d-i) of the powers of A = m11 x + m12 y and B = m21 x + m22 y,
-    each row shared by the forms of one degree, accumulated per form."""
+    each row shared by the forms of one degree, accumulated per form in
+    CycNum arithmetic.  Its images equal ``compose_matrix_many``'s in value
+    and printed form, not in stored conductor."""
     degs = {p.d for p in polys if p.u.c}
     if not degs:
         return list(polys)
@@ -264,8 +266,9 @@ def compose_matrix_rows(polys, mat):
 
 def upoly_mul_loop(a: UPoly, b: UPoly) -> UPoly:
     """``UPoly.__mul__`` as it was before the integer kernel: one CycNum
-    product and one sum per pair of nonzero coefficients, so each output
-    coefficient is stored over the conductor the sums arrive at."""
+    product and one sum per pair of nonzero coefficients, each in the field
+    of its pair.  The stored conductors may differ from the kernel's; the
+    values, and so the printed forms, may not."""
     a, b = a.c, b.c
     if not a or not b:
         return UPoly()

@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from equicurve import cyclotomic
 from equicurve.cyclotomic import (
@@ -280,13 +280,36 @@ def test_property_reduced_idempotent(x, k):
 
 @PROPERTY
 @given(cyc_coeffs())
+# zeta_12^3 = i prints as cyc(4; 0, 1), and 1 - zeta_20^2 + zeta_20^4 -
+# zeta_20^6 = -zeta_5^2 as cyc(5; 0, 0, -1, 0)
+@example((12, [0, 0, 0, 1]))
+@example((20, [1, 0, -1, 0, 1, 0, -1, 0]))
 def test_property_str_is_fraction_formatting(mc):
+    # printed over the least conductor of the value, which for most draws
+    # is the one drawn
     m, coeffs = mc
     x = CycNum.from_coeffs(m, coeffs)
+    r = x.reduced()
     if not any(coeffs[1:]):
         assert str(x) == str(coeffs[0])
-    else:
+    elif r.m == m:
         assert str(x) == f"cyc({m}; " + ", ".join(map(str, coeffs)) + ")"
+    else:
+        assert r.m < m
+        assert str(x) == f"cyc({r.m}; " + ", ".join(
+            str(Fraction(v, r.den)) for v in r.nums) + ")"
+
+
+@PROPERTY
+@given(cycs(), cycs(), st.integers(min_value=1, max_value=4))
+def test_property_equal_values_print_alike(x, y, k):
+    # the stored conductor depends on the path; the printed form may not
+    assert str(x.embedded(k * x.m)) == str(x)
+    assert str((x + y) - y) == str(x)
+    assert str(x + y) == str(y + x.embedded(k * x.m))
+    if y:
+        assert str((x * y) / y) == str(x)
+        assert str(x * y) == str(y.embedded(k * y.m) * x)
 
 
 @PROPERTY

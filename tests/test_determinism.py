@@ -1,7 +1,9 @@
+import ast
 import importlib.util
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -46,6 +48,15 @@ def test_reports_identical_under_python_optimize():
         assert _run_with_seed(job, 0, "-O") == _run_with_seed(job, 0), job
 
 
+def test_library_has_no_assert_statements():
+    # python -O strips asserts silently, so the library raises instead
+    src = Path(__file__).resolve().parents[1] / "src" / "equicurve"
+    found = [f"{path.name}:{node.lineno}" for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Assert)]
+    assert found == []
+
+
 # the benchmark's CLI job list, run function and frozen exit+stdout digests
 _PATH = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
 _spec = importlib.util.spec_from_file_location("bench_workloads", _PATH)
@@ -53,6 +64,13 @@ workloads = importlib.util.module_from_spec(_spec)
 sys.modules[_spec.name] = workloads   # dataclasses look the module up
 _spec.loader.exec_module(workloads)
 CLI_DIGESTS = json.loads(workloads.DIGESTS.read_text())
+CYC_LITERAL = re.compile(r"cyc\((\d+);[^)]*\)")
+
+
+def assert_least_conductors(out: bytes):
+    # each coefficient literal prints over the least conductor of its value
+    for lit in CYC_LITERAL.finditer(out.decode()):
+        assert parse_constant(lit[0]).reduced().m == int(lit[1]), lit[0]
 
 
 @pytest.mark.parametrize("index", range(len(workloads.CLI_JOBS)), ids=[
@@ -65,11 +83,13 @@ def test_cli_report_matches_frozen_digest(index):
         [sys.executable, "-m", "equicurve.cli", *argv], env)
     assert err == b"", err.decode()
     assert workloads.digest(status, out) == CLI_DIGESTS[" ".join(argv)], argv
+    assert_least_conductors(out)
 
 
 # embed and delta over Q(i), Q(zeta_3) and Q(zeta_5), with the group and
-# the points in different fields, so that coefficients are stored at mixed
-# conductors, digests frozen from the closed-form orbit pairs; and
+# the points in different fields, so that coefficients are computed at mixed
+# conductors and printed at the least one, digests frozen from the
+# closed-form orbit pairs; and
 # planar-normalize, verify-extension and plane-extend over the same fields,
 # digests frozen from the term-by-term evaluation at rational functions
 MIXED_FIELD_JOBS = json.loads(
@@ -85,6 +105,7 @@ def test_mixed_field_report_matches_frozen_digest(index):
         [sys.executable, "-m", "equicurve.cli", *job["argv"]], env)
     assert err == b"", err.decode()
     assert workloads.digest(status, out) == job["digest"], job["argv"]
+    assert_least_conductors(out)
 
 
 def rand_cyc(rng, m):

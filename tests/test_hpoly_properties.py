@@ -11,13 +11,18 @@ from hypothesis import given, settings, strategies as st
 from equicurve import poly
 from equicurve.cyclotomic import (CycNum, euler_phi, root_of_unity,
                                   set_conductor_cap)
-from equicurve.errors import ZeroPolynomialError
+from equicurve.errors import ConductorCapError, ZeroPolynomialError
 from equicurve.poly import HPoly2, UPoly, compose_matrix_many
 from equicurve.projline import Moebius, group_closure, sl2_pullback
 from oracles import compose_matrix_rows, eval_equal, upoly_mul_loop
 
 PROPERTY = settings(derandomize=True, max_examples=40, deadline=None)
 X, Y = HPoly2.term(1, 1, 0), HPoly2.term(1, 0, 1)
+
+
+def x_valuation(p):
+    # the power of x dividing the form: the low-order zeros of f(x, 1)
+    return next(i for i, v in enumerate(p.u.c) if v)
 
 
 @st.composite
@@ -78,7 +83,7 @@ def test_gcd_is_monic_and_a_common_divisor(p, q, common):
     a.divexact(g)
     b.divexact(g)
     g.divexact(common)     # the greatest: every common divisor divides it
-    assert g.x_valuation() == min(a.x_valuation(), b.x_valuation())
+    assert x_valuation(g) == min(x_valuation(a), x_valuation(b))
     assert g.y_valuation() == min(a.y_valuation(), b.y_valuation())
 
 
@@ -90,7 +95,7 @@ def test_squarefree_decomp(p, q):
     assert sf * cofactor == f
     assert sf.lead() == 1
     assert sf.squarefree_decomp()[1].degree == 0
-    assert sf.x_valuation() == min(f.x_valuation(), 1)
+    assert x_valuation(sf) == min(x_valuation(f), 1)
     assert sf.y_valuation() == min(f.y_valuation(), 1)
 
 
@@ -163,9 +168,8 @@ def test_horner_matches_the_monomial_rows(m_form, m_mat):
             got = compose_matrix_many(polys, mat)
             want = compose_matrix_rows(polys, mat)
             assert got == want
-            if m_form == m_mat or 1 in (m_form, m_mat):
-                # in one field a value has one printed form, whatever the path
-                assert [str(p) for p in got] == [str(p) for p in want]
+            # a value has one printed form, whatever the path
+            assert [str(p) for p in got] == [str(p) for p in want]
 
     check()
 
@@ -179,19 +183,34 @@ def test_horner_at_degree_60_over_q_zeta_5():
     moved = f.compose_matrix(mat)
     assert moved.degree == 60
     assert eval_equal(moved, f, mat=mat)
-    # form and matrix lie in one field, so the printed forms agree too
+    # equal values, so the printed forms agree too
     assert str(moved) == str(compose_matrix_rows((f,), mat)[0])
 
 
 def test_edge_coefficients_keep_the_field_of_their_two_entries():
-    # the coefficient of y^d is f(m12, m22) and that of x^d is f(m11, m21),
-    # so an entry of another field that reaches neither leaves them alone
+    # the coefficient of y^d is f(m12, m22) and that of x^d is f(m11, m21):
+    # where the entry over Q(zeta_3) reaches neither, the edge coefficient
+    # 7 + 4i lies in Q(i) and prints over Q(i), although the substitution
+    # computes in Q(zeta_12)
     i, w = root_of_unity(4), root_of_unity(3)
     f = HPoly2(2, {2: 1, 1: 3, 0: i})
     for mat in ((w, 1, 1, 2), (1, w, 2, 1)):
         moved = f.compose_matrix(mat)
         assert str(moved) == str(compose_matrix_rows((f,), mat)[0])
         assert "cyc(4; 7, 4)" in str(moved)
+
+
+def test_substitution_over_the_cap_raises():
+    # a form over Q(zeta_7) under a generic matrix over Q(zeta_11): the
+    # substitution computes in Q(zeta_77), of degree 60, over a cap of 24
+    f = HPoly2(1, {1: root_of_unity(7)})
+    mat = (root_of_unity(11), 1, 1, 2)
+    previous = set_conductor_cap(24)
+    try:
+        with pytest.raises(ConductorCapError):
+            f.compose_matrix(mat)
+    finally:
+        set_conductor_cap(previous)
 
 
 def test_degree_24_form_under_an_octahedral_lift():
@@ -240,17 +259,19 @@ def kernel_polys(draw):
     return UPoly(cs + [draw(kernel_scalars(fields, nonzero=True))])
 
 
-def _stored_forms(p):
-    return [(v.m, v.nums, v.den) for v in p.c]
+def assert_agrees(got, want):
+    # equal values, coefficient by coefficient, and equal printed forms
+    assert got.c == want.c
+    assert [str(v) for v in got.c] == [str(v) for v in want.c]
 
 
 @settings(derandomize=True, max_examples=80, deadline=None)
 @given(kernel_polys(), kernel_polys())
-def test_product_kernel_stores_what_the_loop_stores(a, b):
-    want = _stored_forms(upoly_mul_loop(a, b))
+def test_product_kernel_agrees_with_the_loop(a, b):
+    want = upoly_mul_loop(a, b)
     # the kernel at every size, and the product on either side of the cutoff
-    assert _stored_forms(UPoly(poly._product(a.c, b.c))) == want
-    assert _stored_forms(a * b) == want
+    assert_agrees(UPoly(poly._product(a.c, b.c)), want)
+    assert_agrees(a * b, want)
 
 
 @settings(derandomize=True, max_examples=20, deadline=None)
@@ -270,6 +291,6 @@ def test_product_over_the_cap_stays_with_the_loop(data):
     previous = set_conductor_cap(24)
     try:
         assert poly._product(a.c, b.c) is None
-        assert _stored_forms(a * b) == _stored_forms(upoly_mul_loop(a, b))
+        assert_agrees(a * b, upoly_mul_loop(a, b))
     finally:
         set_conductor_cap(previous)
