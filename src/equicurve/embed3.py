@@ -148,10 +148,7 @@ def _orbit_den(pair: EndoPair) -> HPoly2:
     gcd(f1, f2), scaled so its leading coefficient is 1."""
     # a common factor of the four chart forms divides 2x f1, 2y f1, 2x f2
     # and 2y f2, so it divides gcd(f1, f2): dividing the pair removes them all
-    f1, f2 = pair.f1, pair.f2
-    g = f1.gcd(f2)
-    if g.degree > 0:
-        f1, f2 = f1.divexact(g), f2.divexact(g)
+    _, f1, f2 = pair.f1.cofactors(pair.f2)
     den = HPoly2.term(1, 1, 0) * f2 - HPoly2.term(1, 0, 1) * f1
     return den.scale(_den_scale(den))
 

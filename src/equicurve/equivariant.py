@@ -246,8 +246,7 @@ class P1SelfMap:
     def from_pair(g1: HPoly2, g2: HPoly2) -> "P1SelfMap":
         if g1.is_zero() and g2.is_zero():
             raise ZeroPolynomialError("self-map needs a nonzero pair")
-        alpha = g1.gcd(g2)
-        r1, r2 = g1.divexact(alpha), g2.divexact(alpha)
+        _, r1, r2 = g1.cofactors(g2)
         r1, r2 = _pair_normalize(r1, r2)
         return P1SelfMap(g1, g2, r1, r2)
 

@@ -294,10 +294,15 @@ class UPoly:
         return UPoly([self.c[i] * i for i in range(1, len(self.c))])
 
     def gcd(self, other: "UPoly") -> "UPoly":
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic()
+        """The monic gcd (zero if both are), by :func:`modular.gcd`."""
+        from .modular import gcd   # modular imports this module
+        return gcd(self, other)
+
+    def cofactors(self, other: "UPoly"):
+        """(g, self/g, other/g), g the monic gcd, by
+        :func:`modular.cofactors`."""
+        from .modular import cofactors
+        return cofactors(self, other)
 
     def xgcd(self, other: "UPoly"):
         """(g, u, v) with u*self + v*other = g, g monic."""
@@ -317,10 +322,7 @@ class UPoly:
     def squarefree_part(self) -> "UPoly":
         if self.is_zero():
             raise ZeroPolynomialError("squarefree part of zero")
-        d = self.derivative()
-        if d.is_zero():
-            return UPoly.const(1)
-        return self.divexact(self.gcd(d)).monic()
+        return self.cofactors(self.derivative())[1].monic()
 
     def eval(self, v: CycNum) -> CycNum:
         out = _C0
@@ -372,9 +374,7 @@ class URatFun:
         if num.is_zero():
             self.num, self.den = UPoly(), UPoly.const(1)
             return
-        g = num.gcd(den)
-        if g.degree > 0:
-            num, den = num.divexact(g), den.divexact(g)
+        _, num, den = num.cofactors(den)
         lead_inv = den.lead().inverse()
         self.num, self.den = num * lead_inv, den * lead_inv
 
@@ -611,18 +611,31 @@ class HPoly2:
 
     def gcd(self, other: "HPoly2") -> "HPoly2":
         """Monic gcd; x^k and y^k factors included."""
-        if not self.u.c:
-            return other.normalized()
-        if not other.u.c:
-            return self.normalized()
-        g = self.u.gcd(other.u)
-        return HPoly2(g.degree + min(self.y_valuation(), other.y_valuation()), g)
+        return self._gcd_form(other, self.u.gcd(other.u))
+
+    def cofactors(self, other: "HPoly2"):
+        """(g, self/g, other/g) for the monic gcd g, by
+        :meth:`UPoly.cofactors`."""
+        gu, a, b = self.u.cofactors(other.u)
+        g = self._gcd_form(other, gu)
+        if not g.u.c:
+            return g, g, g
+        return g, HPoly2(self.d - g.d, a), HPoly2(other.d - g.d, b)
+
+    def _gcd_form(self, other: "HPoly2", g: UPoly) -> "HPoly2":
+        # the gcd of the dehomogenizations times the lesser y-valuation
+        if not g.c:
+            return HPoly2()
+        return HPoly2(g.degree + min(p.d - p.u.degree for p in (self, other)
+                                     if p.u.c), g)
 
     def squarefree_decomp(self) -> tuple["HPoly2", "HPoly2"]:
-        """(squarefree part, cofactor) with self = part * cofactor."""
-        sf_u = self.u.squarefree_part()
-        sf = HPoly2(sf_u.degree + min(self.y_valuation(), 1), sf_u)
-        return sf, self.divexact(sf)
+        """(squarefree part, cofactor) with self = part * cofactor: with g
+        the gcd of u = f(x, 1) and u', the part is u/g made monic and the
+        cofactor g lead(u)."""
+        g, q, _ = self.u.cofactors(self.u.derivative())
+        sf = HPoly2(q.degree + min(self.y_valuation(), 1), q.monic())
+        return sf, HPoly2(self.d - sf.d, g * self.u.lead())
 
     def normalized(self) -> "HPoly2":
         """Scale so the coefficient at the highest x-exponent is 1."""
@@ -723,7 +736,7 @@ def compose_matrix_many(polys, mat):
     of one monomial.
     """
     degs = {p.d for p in polys if p.u.c}
-    if not degs:
+    if degs <= {0}:   # a constant is its own image, in any field
         return list(polys)
     if len(degs) != 1:
         return [compose_matrix_many((p,), mat)[0] for p in polys]

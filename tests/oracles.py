@@ -279,3 +279,11 @@ def upoly_mul_loop(a: UPoly, b: UPoly) -> UPoly:
             for j, bj in nz:
                 out[i + j] = out[i + j] + ai * bj
     return UPoly(out)
+
+
+def upoly_gcd_euclid(a: UPoly, b: UPoly) -> UPoly:
+    """The monic gcd as ``UPoly.gcd`` computed it before the modular gcd:
+    Euclid over CycNum with unnormalized remainders."""
+    while not b.is_zero():
+        a, b = b, a % b
+    return a.monic()

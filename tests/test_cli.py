@@ -72,6 +72,34 @@ def test_verify_extension_pass_and_fail():
     assert "FAIL" in text
 
 
+_Z5_TAU = ("x; (x - cyc(5; 0, 123456789, 0, 1) + 2/3)"
+           "/(x^2 - cyc(5; 0, 0, 1, 98765431)/7919); "
+           "(x^2 - cyc(5; 0, 0, 1, 98765431)/7919)/(x - cyc(5; 0, 5, 0, 1)/11)")
+
+
+@pytest.mark.parametrize("F, tau, head", [
+    # D = 2 * 49 + 22 = 120 over T = 1 term, small heights
+    ("Y^49*Z^22; Y; Z", "x; 1/(x^2 - 2); 1/(x - 3)", "(-x^121 + 66*x^120 "),
+    # D = 2 * 38 + 2 * 22 = 120, large heights: the residual's numerator and
+    # denominator share (x^2 - 98765/4321)^22
+    ("Y^38*Z^22; Y; Z",
+     "x; 1/(x^2 - 98765/4321); (x^2 - 98765/4321)/(x - 12345/6789)",
+     "(-x^55 + 90530/2263*x^54 "),
+    # D = 2 * 40 + 2 * 20 = 120 over Q(zeta_5), 9-digit coefficients
+    ("Y^40*Z^20 + Y*Z^3 + 1; Y; Z", _Z5_TAU,
+     "(x^62 + cyc(5; -1/3, -1358024764/11, 0, -28/11)*x^61 "),
+], ids=["small-height", "large-height", "zeta5"])
+def test_verify_extension_at_the_degree_bound_prints_its_residual(F, tau, head):
+    # within both bounds; the residual of component 1, reduced by one gcd of
+    # two polynomials of degree about 120, is printed in bounded time
+    t0 = time.perf_counter()
+    code, text = run(["verify-extension", "--F", F, "--tau", tau,
+                      "--phi", "[[1,0],[0,1]]"])
+    assert code == 1
+    assert "FAIL  component 1 residual is zero  [residual " + head in text
+    assert time.perf_counter() - t0 < 20
+
+
 def test_aut_command():
     code, text = run(["aut", "--lambda", "[0:1],[1:1],[1:0]"])
     assert code == 0
@@ -218,9 +246,9 @@ _EXTEND = ["verify-extension", "--F", "X; Y; Z", "--tau", "x; 1/(x^2 - x); 0",
      "parse error: power at position 16 may have 6545 terms, more than 2048"),
     (_EXTEND[:2] + ["(1 + X)^64*(1 + Y)^64; Y; Z"] + _EXTEND[3:],
      "parse error: product at position 10 may have 4225 terms, more than 2048"),
-    (_EXTEND[:2] + ["X; Y^21; Z"] + _EXTEND[3:],
+    (_EXTEND[:2] + ["X; Y^49*X^23; Z"] + _EXTEND[3:],
      "parse error: substituting tau into component 2 of F implies degree "
-     "D = 42 over T = 1 terms; the bounds are D <= 40 and "
+     "D = 121 over T = 1 terms; the bounds are D <= 120 and "
      "T * D^2 <= 262144"),
     (_PLANAR + ["--cap", "200"],
      "parse error: witness degree cap 200 exceeds 24"),

@@ -213,6 +213,19 @@ def test_substitution_over_the_cap_raises():
         set_conductor_cap(previous)
 
 
+def test_a_constant_form_is_its_own_image_under_the_cap():
+    # the same fields as above, but a form of degree 0: its image is itself
+    # and needs no arithmetic in Q(zeta_77)
+    f = HPoly2(0, {0: root_of_unity(7)})
+    mat = (root_of_unity(11), 1, 1, 2)
+    previous = set_conductor_cap(24)
+    try:
+        assert f.compose_matrix(mat) == f
+        assert compose_matrix_many((f, HPoly2.zero()), mat) == [f, HPoly2.zero()]
+    finally:
+        set_conductor_cap(previous)
+
+
 def test_degree_24_form_under_an_octahedral_lift():
     i = root_of_unity(4)
     G = sl2_pullback(group_closure([Moebius(i, i, 1, -1), Moebius(i, 0, 0, 1)]))

@@ -188,11 +188,11 @@ def test_extension_rejects_pole_set_violation():
 def test_verify_extension_bounds_the_substitution():
     tau = parse_ratfun_triple("x; 1/(x^2 - 2); 1/(x - 3)")
     ident = tuple(poly3_var(v) for v in POLY3_VARS)
-    for F in ((parse_poly3("Y^20"), ident[1], ident[2]),          # D = 40
+    for F in ((parse_poly3("Y^49*Z^22"), ident[1], ident[2]),     # D = 120
               (parse_poly3("(X + Y + Z + 1)^8"), ident[1], ident[2])):
         assert not verify_extension(F, tau, Moebius.identity()).ok
-    for F, match in (((ident[0], parse_poly3("Y^21"), ident[2]),
-                      "component 2 of F implies degree D = 42 over T = 1"),
+    for F, match in (((ident[0], parse_poly3("Y^49*Z^23"), ident[2]),
+                      "component 2 of F implies degree D = 121 over T = 1"),
                      ((parse_poly3("(X + Y + Z + 1)^9"), ident[1], ident[2]),
                       "component 1 of F implies degree D = 36 over T = 220")):
         with pytest.raises(InputBoundError, match=match):
