@@ -16,41 +16,22 @@ coefficients are nonzero at the root.  Then the image of the gcd over
 Q(zeta_m) divides the gcd of the images with the same degree (Gauss's
 lemma at the prime), so a good image of degree 0 proves the operands
 coprime.  Any other answer is only a candidate, accepted after exact
-products (:func:`_from_images`).  Euclid over CycNum keeps the small pairs
-whose images would cost more, and gives a pair back to the images once its
-remainders grow (:func:`_euclid`).
+products (:func:`_from_images`).  Every pair of nonconstant operands takes
+this path; a zero or constant operand is answered directly
+(:func:`cofactors`).
 """
 from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd as igcd, isqrt, lcm
 
-from .cyclotomic import _prime_factors, _within_cap, euler_phi
-from .poly import _U1, _kron_mul, _numerators, _scan, _upoly, _values
+from .cyclotomic import _check_cap, _prime_factors, euler_phi
+from .poly import UPoly, _U1, _kron_mul, _numerators, _scan, _upoly, _values
 
 # primes below 2^30, so that every residue is a one-digit Python int
 _TOP = 1 << 30
 # spare bits of a residue read as a numerator over a known denominator
 _MARGIN = 20
-# a pair whose operands both have fewer coefficients than this may take one
-# root image (phi(m) per prime) per _COEFFS_PER_IMAGE coefficients of the
-# shorter operand and then goes to Euclid over CycNum, which cost less on
-# the small gcds of the embed and planar workloads (0.8-1.1 ms against
-# 1.8-3.8 ms for the reconstruction over Q(zeta_12) and Q(zeta_20) at 31-37
-# coefficients); a larger pair adds primes until a candidate passes, since
-# Euclid's coefficients can grow without bound there (over 60 s at 100-150
-# coefficients, where the reconstruction took under 1 s; see the modular
-# gcd's entry in CHANGES.md)
-_EUCLID_BELOW = 40
-_COEFFS_PER_IMAGE = 5
-# Euclid over CycNum gives a pair back to the images, without a budget, once
-# a remainder's leading coefficient is this many times wider than 32 bits
-# plus the widest input coefficient (numerator and denominator bits): the
-# remainders of the Euclid pairs of embed and planar rounds stayed within
-# 3.0 times that base, those of random pairs of degree 14-28 over Q(zeta_5)
-# and Q(zeta_20) with a planted common factor reached 10-23 times it by the
-# fourth step and kept growing (Euclid 0.25-15 s, the images 7-14 ms)
-_GROWTH = 6
 _PRIMES: dict = {}   # m -> [(p, powers of the roots of Phi_m mod p)]
 
 
@@ -186,63 +167,22 @@ def _reconstruct(residues, mod: int, bound: int) -> tuple[list, int] | None:
     return nums, den
 
 
-def gcd(a, b):
-    """The monic gcd of the UPolys a and b (zero if both are), as
-    :func:`cofactors` finds it, without the two divisions that Euclid's
-    cofactors take."""
-    found = _from_images(a, b)
-    if found is None:
-        g = _euclid(a, b)
-        if g is not None:
-            return g
-        found = _from_images(a, b, bounded=False)
-    return found[0]
-
-
 def cofactors(a, b):
-    """(g, a/g, b/g) for the UPolys a and b, g the monic gcd (zero if both
-    are): by :func:`_from_images` for two nonconstant operands, else, and
-    for a pair that it leaves, by Euclid over CycNum and exact division;
-    a pair whose remainders outgrow Euclid's bound goes back to the images,
-    without a budget."""
+    """(g, a/g, b/g) for the UPolys a and b, g the monic gcd: one if a or b
+    is a nonzero constant, the other operand made monic if one is zero (zero
+    if both are), else by :func:`_from_images`."""
     if len(a.c) == 1 or len(b.c) == 1:
         return _U1, a, b
-    found = _from_images(a, b)
-    if found is None:
-        g = _euclid(a, b)
-        if g is None:
-            return _from_images(a, b, bounded=False)
-        if g.degree <= 0:
-            return g, a, b
-        return g, a.divexact(g), b.divexact(g)
-    return found
+    if not a.c:
+        return (b.monic(), a, UPoly.const(b.lead())) if b.c else (a, a, a)
+    if not b.c:
+        return a.monic(), UPoly.const(a.lead()), b
+    return _from_images(a, b)
 
 
-def _width(v) -> int:
-    # the bits of the widest numerator and of the denominator of a CycNum
-    return max(max(v.nums), -min(v.nums)).bit_length() + v.den.bit_length()
-
-
-def _euclid(a, b):
-    """The monic gcd by Euclid over CycNum with unnormalized remainders, or
-    None once a remainder's leading coefficient is ``_GROWTH`` times wider
-    than 32 bits plus the widest coefficient of a and b."""
-    limit = _GROWTH * (32 + max((_width(v) for v in a.c + b.c), default=0))
-    while b.c:
-        a, b = b, a % b
-        if b.c and _width(b.c[-1]) > limit:
-            return None
-    return a.monic()
-
-
-def _from_images(a, b, bounded=True):
-    """(g, a/g, b/g) for the UPolys a and b, g the monic gcd, or None to
-    leave the pair to Euclid: if a or b is constant or zero, if their field
-    is over the conductor cap, or, when ``bounded``, if both have fewer than
-    ``_EUCLID_BELOW`` coefficients and the root images that
-    ``_COEFFS_PER_IMAGE`` budgets are spent, or (at once) fewer than the
-    numerators need, about one prime per 30 bits of the largest plus
-    ``_MARGIN`` bits.
+def _from_images(a, b):
+    """(g, a/g, b/g) for the nonzero UPolys a and b, g the monic gcd.  Their
+    joint field must be within the conductor cap, else ConductorCapError.
 
     Coprime as soon as one good image is.  Otherwise each good prime whose
     images at all roots have the least degree so far adds its images to the
@@ -253,21 +193,13 @@ def _from_images(a, b, bounded=True):
     prime: only finitely many primes are unlucky, and the CRT modulus
     outgrows the coefficients of g, a/g and b/g.
     """
-    if len(a.c) < 2 or len(b.c) < 2:
-        return None
     (ma, da), (mb, db) = _scan(a.c), _scan(b.c)
     m = lcm(ma, mb)
-    if not _within_cap(m):
-        return None
+    _check_cap(m)
     ra, rb = _numerators(a.c, m, da, m == 1), _numerators(b.c, m, db, m == 1)
     phi = euler_phi(m)
-    budget = need = None
-    if bounded and max(len(ra), len(rb)) < _EUCLID_BELOW:
-        budget = min(len(ra), len(rb)) // _COEFFS_PER_IMAGE // phi
     least, mod, acc = len(ra) + len(rb), 1, None
-    for k, (p, vdm) in enumerate(primes(m)):
-        if budget is not None and k >= max(budget, 2):
-            return None
+    for p, vdm in primes(m):
         if da % p == 0 or db % p == 0:
             continue
         # the numerators mod p, one list per power of zeta
@@ -281,11 +213,6 @@ def _from_images(a, b, bounded=True):
             g = _gcd(ia, ib, p)
             if len(g) == 1:
                 return _U1, a, b
-            if budget is not None and need is None:
-                need = (_MARGIN + max(abs(v).bit_length() for rows in (ra, rb)
-                                      for row in rows for v in row)) // 30 + 1
-                if need > budget:
-                    return None
             images.append((g, _divmod(ia, g, p)[0], _divmod(ib, g, p)[0]))
         else:
             degs = {len(g) for g, _, _ in images}
@@ -323,4 +250,5 @@ def _from_images(a, b, bounded=True):
                     return (_upoly(_values(g, m, dg)),
                             _upoly(_values(ca, m, dca * da)),
                             _upoly(_values(cb, m, dcb * db)))
-    return None
+    raise ArithmeticError(f"the primes p = 1 (mod {m}) below 2^30 ran out "
+                          "before a gcd was certified")

@@ -294,14 +294,13 @@ class UPoly:
         return UPoly([self.c[i] * i for i in range(1, len(self.c))])
 
     def gcd(self, other: "UPoly") -> "UPoly":
-        """The monic gcd (zero if both are), by :func:`modular.gcd`."""
-        from .modular import gcd   # modular imports this module
-        return gcd(self, other)
+        """The monic gcd (zero if both are), as :meth:`cofactors` finds it."""
+        return self.cofactors(other)[0]
 
     def cofactors(self, other: "UPoly"):
         """(g, self/g, other/g), g the monic gcd, by
         :func:`modular.cofactors`."""
-        from .modular import cofactors
+        from .modular import cofactors   # modular imports this module
         return cofactors(self, other)
 
     def xgcd(self, other: "UPoly"):
@@ -611,23 +610,18 @@ class HPoly2:
 
     def gcd(self, other: "HPoly2") -> "HPoly2":
         """Monic gcd; x^k and y^k factors included."""
-        return self._gcd_form(other, self.u.gcd(other.u))
+        return self.cofactors(other)[0]
 
     def cofactors(self, other: "HPoly2"):
-        """(g, self/g, other/g) for the monic gcd g, by
-        :meth:`UPoly.cofactors`."""
+        """(g, self/g, other/g) for the monic gcd g: the gcd of the
+        dehomogenizations by :meth:`UPoly.cofactors`, times the lesser
+        y-valuation."""
         gu, a, b = self.u.cofactors(other.u)
-        g = self._gcd_form(other, gu)
-        if not g.u.c:
-            return g, g, g
+        if not gu.c:
+            return (HPoly2(),) * 3
+        g = HPoly2(gu.degree + min(p.d - p.u.degree for p in (self, other)
+                                   if p.u.c), gu)
         return g, HPoly2(self.d - g.d, a), HPoly2(other.d - g.d, b)
-
-    def _gcd_form(self, other: "HPoly2", g: UPoly) -> "HPoly2":
-        # the gcd of the dehomogenizations times the lesser y-valuation
-        if not g.c:
-            return HPoly2()
-        return HPoly2(g.degree + min(p.d - p.u.degree for p in (self, other)
-                                     if p.u.c), g)
 
     def squarefree_decomp(self) -> tuple["HPoly2", "HPoly2"]:
         """(squarefree part, cofactor) with self = part * cofactor: with g

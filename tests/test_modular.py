@@ -1,7 +1,8 @@
 """The gcd with cofactors over Q(zeta_m) (``modular.cofactors``) against
 Euclid over CycNum: planted common factors, denominators, mixed
-conductors, unlucky primes, the coprime exit without field inversions, and
-large pairs without Euclid."""
+conductors, unlucky primes, the end of the prime stream, zero and constant
+operands, a field over the conductor cap, and no pair, coprime or not,
+that uses field inversions."""
 from fractions import Fraction
 from unittest import mock
 
@@ -9,7 +10,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from equicurve import modular
-from equicurve.cyclotomic import CycNum, euler_phi, root_of_unity
+from equicurve.cli import run
+from equicurve.cyclotomic import (CycNum, euler_phi, root_of_unity,
+                                  set_conductor_cap)
+from equicurve.errors import ConductorCapError
 from equicurve.poly import HPoly2, UPoly
 from oracles import upoly_gcd_euclid
 
@@ -72,15 +76,10 @@ def test_gcd_and_cofactors_agree_with_euclid(pair):
 @PROPERTY
 @given(planted())
 def test_every_reconstruction_agrees_with_euclid(pair):
-    # no pair left to Euclid: the reconstruction runs on pairs of every
-    # size, not only on those of at least _EUCLID_BELOW coefficients
+    # the images alone, on pairs of every size; a nonzero constant operand
+    # is coprime at the first good image
     a, b = pair
-    with mock.patch.object(modular, "_EUCLID_BELOW", 0):
-        found = modular._from_images(a, b)
-    if min(a.degree, b.degree) > 0:
-        assert_euclid(a, b, found)
-    else:
-        assert found is None
+    assert_euclid(a, b, modular._from_images(a, b))
 
 
 @pytest.mark.parametrize("m", FIELDS)
@@ -91,8 +90,7 @@ def test_reconstruction_over_each_field(m):
     p = x ** 4 + UPoly.const(Fraction(3, 4)) * x - UPoly.const(z)
     q = x ** 5 - UPoly.const(z + Fraction(1, 2)) * x ** 2 + UPoly.const(11)
     a, b = c * p, c * q
-    with mock.patch.object(modular, "_EUCLID_BELOW", 0):
-        found = modular._from_images(a, b)
+    found = modular._from_images(a, b)
     assert_euclid(a, b, found)
     assert found[0].degree == 3
 
@@ -125,8 +123,17 @@ def test_an_unlucky_prime_adds_a_prime():
     p = _first_prime()
     a, b = UPoly([-1, 1]), UPoly([-1 - p, 1])
     assert a.cofactors(b) == (UPoly.const(1), a, b)
-    with mock.patch.object(modular, "_EUCLID_BELOW", 0):
-        assert modular._from_images(a, b) == (UPoly.const(1), a, b)
+    assert modular._from_images(a, b) == (UPoly.const(1), a, b)
+
+
+def test_the_end_of_the_prime_stream_is_a_stated_error():
+    # with the first prime alone, the unlucky pair above has no certified
+    # answer: the images raise, never returning None or a guess
+    first = next(modular.primes(1))
+    a, b = UPoly([-1, 1]), UPoly([-1 - first[0], 1])
+    with mock.patch.object(modular, "primes", lambda m: iter([first])):
+        with pytest.raises(ArithmeticError, match="ran out"):
+            modular._from_images(a, b)
 
 
 @pytest.mark.parametrize("lead, den", [("p", 1), (1, "p")],
@@ -141,10 +148,7 @@ def test_a_prime_dividing_a_leading_coefficient_or_denominator_is_skipped(
     c = x * x - UPoly.const(Fraction(5, 3))
     a = c * (UPoly.const(lead) * x + UPoly.const(Fraction(1, den)))
     b = c * (x * x + UPoly.const(7))
-    with mock.patch.object(modular, "_EUCLID_BELOW", 0):
-        found = modular._from_images(a, b)
-    assert found is not None
-    assert_euclid(a, b, found)
+    assert_euclid(a, b, modular._from_images(a, b))
     assert_euclid(a, b, a.cofactors(b))
 
 
@@ -168,46 +172,91 @@ def test_coprime_pairs_need_no_field_inversion(monkeypatch):
     assert (g.degree, f1, f2) == (0, fa, fb)
 
 
-def test_a_large_pair_is_never_left_to_euclid(monkeypatch):
-    # at least _EUCLID_BELOW coefficients over Q(zeta_5), with a planted
-    # common factor of degree 12 and numerators over denominators: Euclid
-    # over CycNum grows its coefficients steeply on such pairs, so the
-    # images must carry the gcd and both cofactors without a field inversion
-    c = _dense(12, 3) + UPoly.const(root_of_unity(5)) * UPoly.x()
-    a, b = c * _dense(30, 5), c * _dense(31, 7)
-    assert min(len(a.c), len(b.c)) >= modular._EUCLID_BELOW
+def _planted_zeta12():
+    # 9 and 10 coefficients over Q(zeta_12), with a common factor of degree 3
+    z = root_of_unity(12)
+    x = UPoly.x()
+    c = x ** 3 + UPoly.const(z) * x - UPoly.const(Fraction(2, 3) * z ** 5)
+    return (c * (x ** 5 + UPoly.const(Fraction(1, 7) + z ** 3)),
+            c * (x ** 6 - UPoly.const(z) * x ** 2 + UPoly.const(3))), 3
+
+
+def _planted_zeta5(n, k):
+    # cofactors of degree k and k + 1 to a common factor of degree n over
+    # Q(zeta_5), with numerators over denominators: Euclid over CycNum grows
+    # its coefficients steeply on such pairs (about 30 s at n = 12, k = 30)
+    c = _dense(n, 3) + UPoly.const(root_of_unity(5)) * UPoly.x()
+    return (c * _dense(k, 5), c * _dense(k + 1, 7)), n
+
+
+@pytest.mark.parametrize("pair, degree", [
+    _planted_zeta5(12, 30), _planted_zeta5(6, 8), _planted_zeta12()],
+    ids=["zeta5-44-coefficients", "zeta5-16-coefficients",
+         "zeta12-10-coefficients"])
+def test_no_pair_uses_euclid_over_the_field(monkeypatch, pair, degree):
+    # large or small, the images carry the gcd and both cofactors without
+    # a field inversion or a division over the field
+    a, b = pair
 
     def refuse(*args):
-        raise AssertionError("a large pair used Euclid over the field")
+        raise AssertionError("a pair used Euclid over the field")
 
     monkeypatch.setattr(CycNum, "inverse", refuse)
     monkeypatch.setattr(UPoly, "divmod", refuse)
-    # Euclid over the field took about 30 s on this pair
-    assert_certified(a, b, a.cofactors(b), 12)
-    assert a.gcd(b).degree == 12
+    assert_certified(a, b, a.cofactors(b), degree)
+    assert a.gcd(b).degree == degree
 
 
-def test_euclid_gives_a_pair_whose_remainders_grow_back_to_the_images(
-        monkeypatch):
-    # the same kind of pair below _EUCLID_BELOW coefficients: its numerators
-    # need more primes than the budget, so Euclid starts, but its remainders
-    # outgrow _GROWTH within a few steps, and the images finish the gcd
-    c = _dense(6, 3) + UPoly.const(root_of_unity(5)) * UPoly.x()
-    a, b = c * _dense(8, 5), c * _dense(9, 7)
-    assert max(len(a.c), len(b.c)) < modular._EUCLID_BELOW
-    calls = []
-    real = modular._from_images
+_Z5 = root_of_unity(5)
+_C = UPoly.const(Fraction(-3, 7) + _Z5)
+_B = UPoly([Fraction(2, 3), _Z5, 3 * _Z5])
+_LEAD = "cyc(5; 0, 3, 0, 0)"
+_ZERO = (-1, "0")
 
-    def spy(a, b, bounded=True):
-        calls.append(bounded)
-        return real(a, b, bounded)
 
-    monkeypatch.setattr(modular, "_from_images", spy)
+@pytest.mark.parametrize("a, b, want, forms", [
+    (UPoly(), UPoly(), (UPoly(), UPoly(), UPoly()), [_ZERO] * 3),
+    (UPoly(), _C, (UPoly.const(1), UPoly(), _C), [(1, "y"), _ZERO, (0, str(_C))]),
+    (_C, UPoly(), (UPoly.const(1), _C, UPoly()),
+     [(2, "y^2"), (0, str(_C)), _ZERO]),
+    (UPoly(), _B, (_B.monic(), UPoly(), UPoly.const(_B.lead())),
+     [(3, "x^2*y + 1/3*x*y^2 + cyc(5; -2/9, -2/9, -2/9, -2/9)*y^3"), _ZERO,
+      (0, _LEAD)]),
+    (_B, UPoly(), (_B.monic(), UPoly.const(_B.lead()), UPoly()),
+     [(4, "x^2*y^2 + 1/3*x*y^3 + cyc(5; -2/9, -2/9, -2/9, -2/9)*y^4"),
+      (0, _LEAD), _ZERO]),
+    (_C, _B, (UPoly.const(1), _C, _B),
+     [(1, "y"), (1, f"{_C}*y"),
+      (2, f"{_LEAD}*x^2 + cyc(5; 0, 1, 0, 0)*x*y + 2/3*y^2")]),
+    (_B, _C, (UPoly.const(1), _B, _C),
+     [(1, "y"), (3, f"{_LEAD}*x^2*y + cyc(5; 0, 1, 0, 0)*x*y^2 + 2/3*y^3"),
+      (0, str(_C))]),
+], ids=["0,0", "0,c", "c,0", "0,b", "b,0", "c,b", "b,c"])
+def test_zero_and_constant_operands(a, b, want, forms):
+    # one for a nonzero constant, the other operand made monic for a zero
+    # one, as Euclid over the field gave them; the forms carry y^2 and y^1
     found = a.cofactors(b)
-    assert calls == [True, False]
-    assert_certified(a, b, found, 6)
-    calls.clear()
-    assert a.gcd(b) == found[0]
-    assert calls == [True, False]
-    monkeypatch.undo()
-    assert_euclid(a, b, found)
+    assert found == want
+    assert [str(v) for v in found] == [str(v) for v in want]
+    assert a.gcd(b) == want[0]
+    fa, fb = HPoly2(a.degree + 2, a), HPoly2(b.degree + 1, b)
+    assert [(f.d, str(f)) for f in fa.cofactors(fb)] == forms
+    g = fa.gcd(fb)
+    assert (g.d, str(g)) == forms[0]
+
+
+def test_a_gcd_over_the_conductor_cap_is_a_stated_error():
+    # Q(zeta_7) and Q(zeta_11) meet in Q(zeta_77), of degree 60
+    a, b = (UPoly([root_of_unity(m), 1]) for m in (7, 11))
+    previous = set_conductor_cap(24)
+    try:
+        for method in (a.cofactors, a.gcd):
+            with pytest.raises(ConductorCapError, match="conductor 77 needs"):
+                method(b)
+    finally:
+        set_conductor_cap(previous)
+    assert run(["verify-extension", "--F", "X; Y; Z", "--tau",
+                "x; 1/(x - cyc(7; 0, 1)); 1/(x - cyc(11; 0, 1))",
+                "--phi", "[[1,0],[0,1]]", "--conductor-cap", "24"]) == (
+        3, "construction error: conductor 77 needs a field degree above cap "
+           "24; raise it with set_conductor_cap()")
