@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .certificates import Certificate, merge
-from .cyclotomic import CycNum, as_cyc
+from .cyclotomic import CycNum, as_cyc, root_of_unity
 from .equivariant import (
     EndoPair,
     OrbitData,
@@ -34,7 +34,8 @@ from .errors import (
     ZeroPolynomialError,
 )
 from .poly import HPoly2, MPoly, URatFun, compose_matrix_many, poly3_var
-from .projline import FinSubgroupG, FinSubgroupH, Moebius, P1Point, group_closure
+from .projline import (FinSubgroupG, FinSubgroupH, Moebius, P1Point,
+                       group_closure, sl2_pullback)
 
 Rep3 = tuple  # 9 CycNum entries, row-major
 
@@ -242,7 +243,6 @@ def verify_embedding(e: EmbeddingA3) -> Certificate:
 
 def standard_group(kind: str, n: int | None = None) -> FinSubgroupH:
     """The reference subgroup of PGL(2) for each preset family."""
-    from .cyclotomic import root_of_unity
     if kind == "cyclic":
         if n is None or n < 1:
             raise DegenerateParamsError("cyclic preset needs n >= 1")
@@ -321,7 +321,6 @@ def preset_family(kind: str, n: int | None, params,
     has multiple roots (the removed set is then the support of the form);
     forms are always required pairwise coprime.
     """
-    from .projline import sl2_pullback
     h = standard_group(kind, n)
     G = sl2_pullback(h)
     params = [(as_cyc(a), as_cyc(b)) for a, b in params]

@@ -36,13 +36,14 @@ from .errors import (
     PNotInvariantError,
     ZeroPolynomialError,
 )
-from .poly import HPoly2, UPoly
+from .poly import HPoly2, UPoly, compose_matrix_many
 from .projline import (
     FinSubgroupG,
     FinSubgroupH,
     P1Point,
     SL2Elem,
     _adjugate,
+    orbit_decompose,
     sl2_pullback,
 )
 
@@ -80,7 +81,6 @@ def contract(pair: EndoPair) -> HPoly2:
 
 def act_on_pair(g: SL2Elem, pair: EndoPair) -> EndoPair:
     """The action g . F = g o F o g^(-1) on plane endomorphisms."""
-    from .poly import compose_matrix_many
     # det g = 1, so g^(-1) is the adjugate; its entries stay reduced
     u1, u2 = compose_matrix_many((pair.f1, pair.f2), _adjugate(g.entries()))
     return EndoPair(u1.scale(g.a) + u2.scale(g.b), u1.scale(g.c) + u2.scale(g.d))
@@ -317,7 +317,6 @@ def selfmap_with_fixed_locus(h: FinSubgroupH, points: list[P1Point],
     """
     if not points:
         raise DegeneratePointsError("the removed set must be nonempty")
-    from .projline import orbit_decompose
     orbits_pts = orbit_decompose(h, points)
     G = G or sl2_pullback(h)
     orbits = [build_orbit_data(orbit_polynomial(o), G, o) for o in orbits_pts]
@@ -351,7 +350,6 @@ def verify_selfmap_equivariance(sm: P1SelfMap, h: FinSubgroupH) -> Certificate:
     """Exact identity per generator (a,b;c,d):
     f1(h(x,y)) * (c f1 + d f2) - f2(h(x,y)) * (a f1 + b f2) = 0."""
     cert = Certificate("self-map equivariance")
-    from .poly import compose_matrix_many
     f1, f2 = sm.reduced1, sm.reduced2
     for g in h.generators:
         a, b, c, d = g.entries()

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from math import lcm
 
 from .certificates import Certificate
-from .cyclotomic import CycNum, _power, as_cyc
+from .cyclotomic import CycNum, _power, as_cyc, root_of_unity
 from .errors import (
     ConstructionError,
     DegenerateParamsError,
@@ -286,7 +286,6 @@ def cube_symmetric_family(k: int, a_list) -> list[P1Point]:
     a_1 must be 1; the a_i must be nonzero and distinct up to cube-root
     multiples.
     """
-    from .cyclotomic import root_of_unity
     if k < 1:
         raise DegenerateParamsError("k must be positive")
     a_vals = [as_cyc(v) for v in a_list]
@@ -309,7 +308,6 @@ def cube_symmetric_family(k: int, a_list) -> list[P1Point]:
 
 def verify_cube_symmetry(points: list[P1Point]) -> Certificate:
     """The map [x:y] -> [x : w y] permutes the family."""
-    from .cyclotomic import root_of_unity
     h = Moebius(1, 0, 0, root_of_unity(3))
     cert = Certificate("threefold symmetry of the family")
     family = set(points)

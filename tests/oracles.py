@@ -35,13 +35,14 @@ from equicurve.projline import (
 def stabilizer_oracle(points: list[P1Point], cap: int = 120) -> FinSubgroupH:
     """Exhaustive triple transport, independent of the library's search: the
     last three points are the base triple, the image triples are enumerated
-    in reversed order, each map comes from ``moebius_through`` and set
-    preservation is tested against a set of points."""
+    in reversed order and set preservation is tested by an equality scan,
+    with no hashing.  The transport formula is shared with the library: each
+    map comes from ``moebius_through``, which ``test_moebius_through`` pins
+    point by point."""
     pts = sort_points(dedupe_points(points))
     if len(pts) < 3:
         raise TooFewPointsError("automorphism search needs at least 3 points")
     base = (pts[-1], pts[-2], pts[-3])
-    members = set(pts)
     found: list[Moebius] = []
     idx = range(len(pts) - 1, -1, -1)
     for i in idx:
@@ -50,7 +51,8 @@ def stabilizer_oracle(points: list[P1Point], cap: int = 120) -> FinSubgroupH:
                 if i == j or j == k or i == k:
                     continue
                 g = moebius_through(base, (pts[i], pts[j], pts[k]))
-                if all(g.apply(p) in members for p in pts):
+                if all(any(q == image for q in pts)
+                       for image in map(g.apply, pts)):
                     found.append(g)
                     if len(found) > cap:
                         raise NotFiniteWithinCapError(

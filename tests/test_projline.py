@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from equicurve import projline
 from equicurve.cyclotomic import CycNum, root_of_unity
+from equicurve.embed3 import standard_group
 from equicurve.errors import (
     DegeneratePointsError,
     NotFiniteWithinCapError,
@@ -22,6 +23,7 @@ from equicurve.projline import (
     fixed_point_form,
     fixed_points,
     group_closure,
+    minimal_generators,
     moebius_through,
     orbit_decompose,
     sl2_pullback,
@@ -80,6 +82,33 @@ def test_octahedral_icosahedral_classification():
     h = group_closure([Moebius(z5, 0, 0, 1), Moebius(0, -1, 1, 0),
                        Moebius(golden, 1, 1, -golden)])
     assert str(h.kind) == "Icosahedral" and h.order == 60
+
+
+# minimal_generators of each standard group, as printed when it was frozen
+MINIMAL_GENERATORS = {
+    ("cyclic", 6): ["[[1, 0], [0, cyc(3; -1, -1)]]", "[[1, 0], [0, -1]]"],
+    ("dihedral", 4): ["[[0, 1], [-1, 0]]", "[[0, 1], [cyc(4; 0, -1), 0]]"],
+    ("tetrahedral", None): [
+        "[[0, 1], [-1, 0]]", "[[0, 1], [1, 0]]",
+        "[[1, -1], [cyc(4; 0, -1), cyc(4; 0, -1)]]"],
+    ("octahedral", None): [
+        "[[0, 1], [-1, 0]]", "[[0, 1], [cyc(4; 0, -1), 0]]",
+        "[[1, -1], [-1, -1]]"],
+    ("icosahedral", None): [
+        "[[0, 1], [-1, 0]]", "[[0, 1], [cyc(5; 0, -1, 0, 0), 0]]",
+        "[[1, cyc(5; -1, -1, -1, 0)], "
+        "[cyc(5; -1, -1, -1, 0), cyc(5; 0, 0, -1, 0)]]"],
+}
+
+
+@pytest.mark.parametrize("kind, n", list(MINIMAL_GENERATORS))
+def test_minimal_generators(kind, n):
+    h = standard_group(kind, n)
+    gens = minimal_generators(h.elements)
+    assert set(group_closure(gens).elements) == set(h.elements)
+    for i, g in enumerate(gens):
+        assert g not in group_closure(gens[:i]).elements
+    assert [str(g) for g in gens] == MINIMAL_GENERATORS[kind, n]
 
 
 def test_moebius_through():
