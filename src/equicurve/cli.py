@@ -145,6 +145,14 @@ def _cmd_preset(args) -> dict:
         raise ParseError("--n applies to the cyclic and dihedral presets only")
     if args.kind != "tetrahedral" and args.n is None:
         raise ParseError(f"the {args.kind} preset needs --n")
+    order = (12 if args.n is None
+             else 2 * args.n if args.kind == "dihedral" else args.n)
+    if order > args.group_cap:
+        raise ParseError(
+            f"--n must be at most --group-cap ({args.group_cap}), got {args.n}"
+            if args.kind == "cyclic" else
+            f"the {args.kind} group has order {order}, more than "
+            f"--group-cap ({args.group_cap})")
     fam = preset_family(args.kind, args.n, parse_pairs(args.pairs),
                         require_squarefree=not args.allow_multiplicity)
     return {
@@ -286,13 +294,16 @@ def build_parser() -> argparse.ArgumentParser:
                        help="print the full verification transcript")
         p.add_argument("--conductor-cap", default=256,
                        help="maximal cyclotomic field degree")
+
+    def grouped(p):
+        common(p)
         p.add_argument("--group-cap", default=120,
-                       help="maximal group order for closures")
+                       help="maximal order of the group built")
 
     p = sub.add_parser("aut", help="automorphism group of P^1 preserving a set")
     p.add_argument("--lambda", dest="lam", required=True,
                    help='points, e.g. "[0:1],[1:1],[1:0]"')
-    common(p)
+    grouped(p)
 
     p = sub.add_parser("delta",
                        help="equivariant self-map with prescribed fixed locus")
@@ -300,14 +311,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help='invariant point set, e.g. "[1:1],[-1:1]"')
     p.add_argument("--gens", help='group generators "[[a,b],[c,d]];..." '
                                   "(default: full stabilizer)")
-    common(p)
+    grouped(p)
 
     p = sub.add_parser("embed", help="equivariant closed embedding into A^3")
     p.add_argument("--lambda", dest="lam", required=True,
                    help='removed point set, e.g. "[1:1],[-1:1]"')
     p.add_argument("--gens", help="group generators (default: full stabilizer "
                                   "when at least 3 points, else trivial)")
-    common(p)
+    grouped(p)
 
     p = sub.add_parser("preset", help="closed-form embedding families")
     p.add_argument("--kind", required=True,
@@ -317,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help='orbit parameters "(a, b);(a, b);..."')
     p.add_argument("--allow-multiplicity", action="store_true",
                    help="accept orbit forms with multiple roots")
-    common(p)
+    grouped(p)
 
     p = sub.add_parser("planar-normalize",
                        help="normalize a planar embedding of a curve in A^3")
@@ -413,9 +424,6 @@ def run(argv) -> tuple[int, str]:
         if value < 1:
             return 2, f"parse error: {name} must be positive, got {value}"
         setattr(args, flag, value)
-    if getattr(args, "n", None) is not None and args.n > args.group_cap:
-        return 2, (f"parse error: --n must be at most --group-cap "
-                   f"({args.group_cap}), got {args.n}")
     # the cap is process-global; put the caller's back after the job
     previous_cap = cyclotomic.set_conductor_cap(args.conductor_cap)
     try:

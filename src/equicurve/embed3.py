@@ -242,31 +242,32 @@ def verify_embedding(e: EmbeddingA3) -> Certificate:
 
 
 def standard_group(kind: str, n: int | None = None) -> FinSubgroupH:
-    """The reference subgroup of PGL(2) for each preset family."""
+    """The reference subgroup of PGL(2) for each preset family, closed with
+    its known order as the cap."""
     if kind == "cyclic":
         if n is None or n < 1:
             raise DegenerateParamsError("cyclic preset needs n >= 1")
-        if n == 1:
-            return group_closure([])
-        return group_closure([Moebius(root_of_unity(n), 0, 0, 1)])
-    if kind == "dihedral":
+        gens, order = [Moebius(root_of_unity(n), 0, 0, 1)], n
+    elif kind == "dihedral":
         if n is None or n < 2:
             raise DegenerateParamsError("dihedral preset needs n >= 2")
-        return group_closure([Moebius(root_of_unity(n), 0, 0, 1),
-                              Moebius(0, 1, 1, 0)])
-    if kind == "tetrahedral":
+        gens = [Moebius(root_of_unity(n), 0, 0, 1), Moebius(0, 1, 1, 0)]
+        order = 2 * n
+    elif kind == "tetrahedral":
         i = root_of_unity(4)
-        return group_closure([Moebius(i, i, 1, -1), Moebius(1, 0, 0, -1)])
-    if kind == "octahedral":
+        gens, order = [Moebius(i, i, 1, -1), Moebius(1, 0, 0, -1)], 12
+    elif kind == "octahedral":
         i = root_of_unity(4)
-        return group_closure([Moebius(i, i, 1, -1), Moebius(i, 0, 0, 1)])
-    if kind == "icosahedral":
+        gens, order = [Moebius(i, i, 1, -1), Moebius(i, 0, 0, 1)], 24
+    elif kind == "icosahedral":
         z5 = root_of_unity(5)
         golden = -(z5 ** 2 + z5 ** 3)
-        return group_closure([Moebius(z5, 0, 0, 1),
-                              Moebius(0, -1, 1, 0),
-                              Moebius(golden, 1, 1, -golden)])
-    raise DegenerateParamsError(f"unknown preset kind {kind!r}")
+        gens = [Moebius(z5, 0, 0, 1), Moebius(0, -1, 1, 0),
+                Moebius(golden, 1, 1, -golden)]
+        order = 60
+    else:
+        raise DegenerateParamsError(f"unknown preset kind {kind!r}")
+    return group_closure(gens, cap=order)
 
 
 def closed_form_pair(kind: str, n: int | None, a, b):
@@ -339,13 +340,7 @@ def preset_family(kind: str, n: int | None, params,
                    contract(pair) == P)
         cert.check(f"orbit {idx + 1}: pair fixed by every element of G",
                    all(act_on_pair(g, pair) == pair for g in G.elements))
-        d = 1 if kind == "tetrahedral" else 2
-        orbit_data.append(OrbitData([], p, d, P, pair))
-    for i in range(len(orbit_data)):
-        for j in range(i + 1, len(orbit_data)):
-            if orbit_data[i].p.gcd(orbit_data[j].p).degree > 0:
-                raise DegenerateParamsError(
-                    f"orbit forms {i + 1} and {j + 1} share a root")
+        orbit_data.append(OrbitData([], p, P.degree // p.degree, P, pair))
     sm = combine_orbits(orbit_data)
     emb, cert = _certified_embedding(h, sm, orbit_data, f"{kind} preset family",
                                      [cert])

@@ -30,6 +30,7 @@ from .certificates import Certificate
 from .cyclotomic import CycNum, torsion_order
 from .errors import (
     ConstantTermError,
+    DegenerateParamsError,
     DegeneratePointsError,
     DegreeAlignmentError,
     NotSemiInvariantError,
@@ -102,7 +103,9 @@ def invariant_power(p: HPoly2, G: FinSubgroupG):
     """Smallest exponent d with p^d fixed by G, plus the character values.
 
     Requires the zero set of p to be invariant under the projection of G:
-    p o g must be a scalar multiple chi(g) * p for every generator.
+    p o g must be a scalar multiple chi(g) * p for every generator.  Then
+    p^d o g = chi(g)^d p^d, so d is the lcm of the orders of the chi(g);
+    :func:`reynolds_average` checks that p^d is G-fixed.
     """
     if p.is_zero():
         raise ZeroPolynomialError("invariant power of zero")
@@ -120,10 +123,6 @@ def invariant_power(p: HPoly2, G: FinSubgroupG):
                 f"character value {chi} is not a root of unity")
         chis.append(chi)
         d = lcm(d, order)
-    P = p ** d
-    for g in G.generators:
-        if P.compose_matrix(g.entries()) != P:
-            raise NotSemiInvariantError("p^d is not fixed by a generator")
     return d, chis
 
 
@@ -229,9 +228,6 @@ class OrbitData:
     P: HPoly2                # p^d, fixed by G
     pair: EndoPair           # G-fixed, contract(pair) = P
 
-    def verify_identity(self) -> bool:
-        return contract(self.pair) == self.P
-
 
 @dataclass
 class P1SelfMap:
@@ -267,22 +263,29 @@ def _pair_normalize(f1: HPoly2, f2: HPoly2):
 def build_orbit_data(p: HPoly2, G: FinSubgroupG,
                      points: list[P1Point] | None = None) -> OrbitData:
     """Run the per-orbit pipeline on a squarefree orbit polynomial."""
-    sf, cof = p.squarefree_decomp()
-    if cof.degree > 0:
+    if p.squarefree_decomp()[1].degree > 0:
         raise DegeneratePointsError(f"orbit polynomial {p} is not squarefree")
     d, _ = invariant_power(p, G)
     P = p ** d
     pair = reynolds_average(split_pair(P), G)
-    data = OrbitData(points or [], p, d, P, pair)
-    if not data.verify_identity():
+    if contract(pair) != P:
         raise ArithmeticError(f"averaged pair of {p} lost the contraction P")
-    return data
+    return OrbitData(points or [], p, d, P, pair)
 
 
 def combine_orbits(orbits: list[OrbitData]) -> P1SelfMap:
-    """Combine per-orbit pairs into one pair with contraction prod P_i."""
+    """Combine per-orbit pairs into one pair with contraction prod P_i.
+
+    The orbit forms must be pairwise coprime; every construction path
+    (points, orbit forms, presets) is checked here.
+    """
     if not orbits:
         raise DegeneratePointsError("need at least one orbit")
+    for i, o in enumerate(orbits):
+        for j in range(i + 1, len(orbits)):
+            if o.p.gcd(orbits[j].p).degree > 0:
+                raise DegenerateParamsError(
+                    f"orbit forms {i + 1} and {j + 1} share a root")
     degs = {o.pair.degree + sum(q.P.degree for q in orbits) - o.P.degree
             for o in orbits}
     if len(degs) != 1:
@@ -328,15 +331,10 @@ def selfmap_from_orbit_polynomials(h: FinSubgroupH, polys: list[HPoly2],
     """Same pipeline when orbits are described by squarefree polynomials.
 
     Used when orbit points do not split over a cyclotomic field (generic
-    preset parameters).  Pairwise coprimality is checked.
+    preset parameters).  :func:`combine_orbits` checks pairwise coprimality.
     """
     if not polys:
         raise DegeneratePointsError("need at least one orbit polynomial")
-    for i in range(len(polys)):
-        for j in range(i + 1, len(polys)):
-            if polys[i].gcd(polys[j]).degree > 0:
-                raise DegeneratePointsError(
-                    f"orbit polynomials {i} and {j} share a factor")
     G = G or sl2_pullback(h)
     orbits = [build_orbit_data(p.normalized(), G) for p in polys]
     return combine_orbits(orbits), orbits, G
@@ -393,19 +391,11 @@ def _divides(divisor: HPoly2, multiple: HPoly2) -> bool:
         return False
 
 
-def verify_locus_invariance(h: FinSubgroupH,
-                            locus: HPoly2 | list[P1Point]) -> Certificate:
+def verify_locus_invariance(h: FinSubgroupH, locus: list[P1Point]) -> Certificate:
     """The fixed locus is setwise invariant under every element of h."""
     cert = Certificate("locus invariance under the group")
-    if isinstance(locus, HPoly2):
-        target = locus.normalized()
-        for g in h.elements:
-            moved = target.compose_matrix(g.inverse().entries())
-            cert.check(f"{g} preserves the locus",
-                       moved.proportional_to(target) is not None)
-    else:
-        points = set(locus)
-        for g in h.elements:
-            ok = all(g.apply(p) in points for p in locus)
-            cert.check(f"{g} preserves the locus", ok)
+    points = set(locus)
+    for g in h.elements:
+        cert.check(f"{g} preserves the locus",
+                   all(g.apply(p) in points for p in locus))
     return cert

@@ -84,7 +84,7 @@ class CurveAut:
             return k
         if (self.g * self.g).is_identity():
             return 2
-        o = self.g.order(cap=120)
+        o = self.g.order()
         return o if o is not None else _INFINITE
 
 

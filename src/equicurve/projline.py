@@ -13,9 +13,8 @@ from dataclasses import dataclass
 from itertools import permutations
 from math import lcm
 
-from .cyclotomic import CycNum, _split_square, as_cyc, try_sqrt
+from .cyclotomic import CycNum, as_cyc, try_sqrt
 from .errors import (
-    ConductorCapError,
     DegeneratePointsError,
     NotFiniteWithinCapError,
     NotInvariantError,
@@ -169,8 +168,16 @@ class Moebius(_Mat2):
     def is_identity(self) -> bool:
         return (not self.b) and (not self.c) and self.a == 1 and self.d == 1
 
-    def order(self, cap: int = 200) -> int | None:
-        """Multiplicative order, or None if it exceeds the cap."""
+    def order(self, cap: int | None = None) -> int | None:
+        """Multiplicative order, or None if it exceeds the cap.
+
+        The default cap max(6, 2M), M the lcm of the entries' conductors,
+        bounds every finite order: an element of order n has tr^2/det =
+        zeta_n + 1/zeta_n + 2 in Q(zeta_M), and that field holds
+        zeta_n + 1/zeta_n only for n <= 6 or n dividing 2M.
+        """
+        if cap is None:
+            cap = max(6, 2 * lcm(*(v.m for v in self.entries())))
         g = self
         for k in range(1, cap + 1):
             if g.is_identity():
@@ -450,8 +457,9 @@ def fixed_points(g: Moebius):
     """Fixed points of g: a list of one or two points, or ALL_OF_P1.
 
     Quadratic roots are extracted with try_sqrt; if the square root is not
-    found the discriminant is retried over a once-enlarged conductor, after
-    which RootFieldUnsupportedError is raised.
+    found, RootFieldUnsupportedError is raised.  A larger field would not
+    help: try_sqrt takes roots of values q zeta^k, q rational, and such a
+    value in Q(zeta_m) is +-q zeta_m^j, which it already tries at m.
     """
     if g.is_identity():
         return ALL_OF_P1
@@ -467,22 +475,9 @@ def fixed_points(g: Moebius):
         return [P1Point(-bb / (2 * cc), 1)]
     s = try_sqrt(disc)
     if s is None:
-        # one level of growth: fold in i and the squarefree kernel of the
-        # rational content, then search again over the larger conductor
-        try:
-            big = 4 * disc.m
-            if disc.is_rational():
-                q = disc.as_fraction()
-                big *= _split_square(abs(q.numerator) * q.denominator)[1]
-            if big % 4 == 2:
-                big //= 2
-            s = try_sqrt(disc.embedded(big))
-        except ConductorCapError:
-            s = None
-        if s is None:
-            raise RootFieldUnsupportedError(
-                f"fixed points of {g} live outside the reachable "
-                f"cyclotomic fields (discriminant {disc})")
+        raise RootFieldUnsupportedError(
+            f"fixed points of {g} live outside the reachable "
+            f"cyclotomic fields (discriminant {disc})")
     inv = (2 * cc).inverse()
     r1 = (-bb + s) * inv
     r2 = (-bb - s) * inv

@@ -42,6 +42,50 @@ def test_plane_extend_extendable():
     assert "verdict: Extendable" in text
 
 
+@pytest.mark.parametrize("g, order", [
+    ("[[cyc(125; 0, 1), 0], [0, 1]]", "125"),
+    # -zeta_63 has order 126 = 2 * 63, the largest its field allows
+    ("[[cyc(63; 0, -1), 0], [0, 1]]", "126"),
+    ("[[2, 0], [0, 1]]", "infinite"),
+], ids=["order-125", "order-126-over-q63", "infinite"])
+def test_plane_extend_reports_orders_bounded_by_the_field(g, order):
+    code, text = run(["plane-extend", "--lambda", "[0:1],[1:0]", "--g", g])
+    assert code == 0
+    assert f"order: {order}" in text.splitlines()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["cor25", "--k", "1", "--a", "1", "--group-cap", "7"],
+     "parse error: unrecognized arguments: --group-cap 7"),
+    (["planar-normalize", "--P", "x", "--Q", "1/x", "--R", "x + 1/x",
+      "--group-cap", "7"],
+     "parse error: unrecognized arguments: --group-cap 7"),
+    (["verify-extension", "--F", "X; Y; Z", "--tau", "x; 1/(x^2 - x); 0",
+      "--phi", "[[1,0],[0,1]]", "--group-cap", "7"],
+     "parse error: unrecognized arguments: --group-cap 7"),
+    (["plane-extend", "--lambda", "[2:1],[-2:1]", "--g", "[[-1,0],[0,1]]",
+      "--group-cap", "7"],
+     "parse error: unrecognized arguments: --group-cap 7"),
+    (["preset", "--kind", "tetrahedral", "--pairs", "(0, 1)",
+      "--group-cap", "5"],
+     "parse error: the tetrahedral group has order 12, more than "
+     "--group-cap (5)"),
+    (["preset", "--kind", "dihedral", "--n", "61", "--pairs", "(1, 2)"],
+     "parse error: the dihedral group has order 122, more than "
+     "--group-cap (120)"),
+], ids=["cor25", "planar-normalize", "verify-extension", "plane-extend",
+        "tetrahedral-over-cap", "dihedral-over-cap"])
+def test_group_cap_only_where_a_group_is_built(argv, message):
+    assert run(argv) == (2, message)
+
+
+def test_preset_group_cap_bounds_the_group_order_not_n():
+    code, text = run(["preset", "--kind", "dihedral", "--n", "61",
+                      "--pairs", "(1, 2)", "--group-cap", "122"])
+    assert code == 0
+    assert "group: Dihedral(61)" in text.splitlines()
+
+
 def test_parse_error_exit_2():
     code, text = run(["embed", "--lambda", "nonsense"])
     assert code == 2
@@ -340,10 +384,11 @@ def test_help_still_prints_usage_and_exits_0(capsys):
 # values come from a small alphabet with a leading '-', cyc(...), ^64,
 # brackets, ';' and ':'
 _FUZZ_FLAGS = {
-    "aut": ("--lambda",),
-    "delta": ("--lambda", "--gens"),
-    "embed": ("--lambda", "--gens"),
-    "preset": ("--kind", "--n", "--pairs", "--allow-multiplicity"),
+    "aut": ("--lambda", "--group-cap"),
+    "delta": ("--lambda", "--gens", "--group-cap"),
+    "embed": ("--lambda", "--gens", "--group-cap"),
+    "preset": ("--kind", "--n", "--pairs", "--allow-multiplicity",
+               "--group-cap"),
     "planar-normalize": ("--P", "--Q", "--R", "--cap"),
     "verify-extension": ("--F", "--tau", "--phi"),
     "plane-extend": ("--lambda", "--g"),
@@ -358,7 +403,7 @@ _FUZZ_GOOD = {
     "--conductor-cap": "8", "--group-cap": "24",
 }
 _FUZZ_SWITCHES = ("--allow-multiplicity", "--certificate")
-_FUZZ_COMMON = ("--format", "--certificate", "--conductor-cap", "--group-cap")
+_FUZZ_COMMON = ("--format", "--certificate", "--conductor-cap")
 _FUZZ_TOKENS = ("-", "-x", "1", "2", "0", "x", "X", "Y", "Z", "cyc(4; 0, 1)",
                 "cyc(3;0,1)", "^64", "^2", "[", "]", "[0:1]", "[1:1],[1:0]",
                 "[[-1,0],[0,1]]", "[[0,1],[1,0]]", ";", ":", ",", "(1, 2)",

@@ -200,6 +200,16 @@ def test_preset_rejects_degenerate_parameters():
         preset_family("cyclic", 3, [(1, 2), (2, 4)])  # same orbit twice
 
 
+def test_orbit_forms_sharing_a_root_raise_the_preset_error():
+    # both forms are unions of orbits of x -> -x and share the orbit {1, -1}
+    h = standard_group("cyclic", 2)
+    p = parse_hpoly("x^2 - y^2")
+    q = p * parse_hpoly("x^2 - 4*y^2")
+    with pytest.raises(DegenerateParamsError,
+                       match="^orbit forms 1 and 2 share a root$"):
+        build_embedding(h, orbit_polys=[p, q])
+
+
 def test_tetrahedral_multiplicity_override():
     fam = preset_family("tetrahedral", None, [(1, 0)], require_squarefree=False)
     assert fam.certificate.ok
