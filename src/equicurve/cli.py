@@ -17,7 +17,14 @@ import sys
 
 from . import cyclotomic
 from .certificates import Certificate
-from .errors import CertificateFailure, ConstructionError, EquicurveError, ParseError
+from .embed3 import build_embedding, preset_family
+from .equivariant import (
+    selfmap_with_fixed_locus,
+    verify_fixed_locus,
+    verify_locus_invariance,
+    verify_selfmap_equivariance,
+)
+from .errors import ConstructionError, EquicurveError, ParseError
 from .parsing import (
     parse_constants,
     parse_generators,
@@ -38,7 +45,14 @@ from .plane import (
     decide_extendability,
     verify_cube_symmetry,
 )
-from .projline import Moebius, P1Point, aut_of_lambda, group_closure, sort_points
+from .projline import (
+    GroupKind,
+    Moebius,
+    P1Point,
+    aut_of_lambda,
+    group_closure,
+    sort_points,
+)
 
 
 def _points(text: str) -> list[P1Point]:
@@ -74,12 +88,6 @@ def _cmd_aut(args) -> dict:
 
 
 def _cmd_delta(args) -> dict:
-    from .equivariant import (
-        selfmap_with_fixed_locus,
-        verify_fixed_locus,
-        verify_locus_invariance,
-        verify_selfmap_equivariance,
-    )
     pts = _points(args.lam)
     h = _group_for(args, pts)
     sm, orbits, _ = selfmap_with_fixed_locus(h, pts)
@@ -107,7 +115,6 @@ def _cmd_delta(args) -> dict:
 
 
 def _cmd_embed(args) -> dict:
-    from .embed3 import build_embedding
     pts = _points(args.lam)
     h = _group_for(args, pts)
     emb, cert = build_embedding(h, points=pts)
@@ -140,13 +147,11 @@ def _mat3_str(m) -> str:
 
 
 def _cmd_preset(args) -> dict:
-    from .embed3 import preset_family
     if args.kind == "tetrahedral" and args.n is not None:
         raise ParseError("--n applies to the cyclic and dihedral presets only")
     if args.kind != "tetrahedral" and args.n is None:
         raise ParseError(f"the {args.kind} preset needs --n")
-    order = (12 if args.n is None
-             else 2 * args.n if args.kind == "dihedral" else args.n)
+    order = GroupKind(args.kind.capitalize(), args.n).order
     if order > args.group_cap:
         raise ParseError(
             f"--n must be at most --group-cap ({args.group_cap}), got {args.n}"
@@ -437,8 +442,6 @@ def _report(args) -> tuple[int, str]:
         data = _HANDLERS[args.command](args)
     except ParseError as e:
         return 2, f"parse error: {e}"
-    except CertificateFailure as e:
-        return 1, f"certificate failure: {e}"
     except (ConstructionError, ZeroDivisionError) as e:
         return 3, f"construction error: {e}"
     except EquicurveError as e:

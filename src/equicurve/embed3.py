@@ -34,8 +34,8 @@ from .errors import (
     ZeroPolynomialError,
 )
 from .poly import HPoly2, MPoly, URatFun, compose_matrix_many, poly3_var
-from .projline import (FinSubgroupG, FinSubgroupH, Moebius, P1Point,
-                       group_closure, sl2_pullback)
+from .projline import (FinSubgroupG, FinSubgroupH, GroupKind, Moebius,
+                       P1Point, group_closure, sl2_pullback)
 
 Rep3 = tuple  # 9 CycNum entries, row-major
 
@@ -247,27 +247,25 @@ def standard_group(kind: str, n: int | None = None) -> FinSubgroupH:
     if kind == "cyclic":
         if n is None or n < 1:
             raise DegenerateParamsError("cyclic preset needs n >= 1")
-        gens, order = [Moebius(root_of_unity(n), 0, 0, 1)], n
+        gens = [Moebius(root_of_unity(n), 0, 0, 1)]
     elif kind == "dihedral":
         if n is None or n < 2:
             raise DegenerateParamsError("dihedral preset needs n >= 2")
         gens = [Moebius(root_of_unity(n), 0, 0, 1), Moebius(0, 1, 1, 0)]
-        order = 2 * n
     elif kind == "tetrahedral":
         i = root_of_unity(4)
-        gens, order = [Moebius(i, i, 1, -1), Moebius(1, 0, 0, -1)], 12
+        gens = [Moebius(i, i, 1, -1), Moebius(1, 0, 0, -1)]
     elif kind == "octahedral":
         i = root_of_unity(4)
-        gens, order = [Moebius(i, i, 1, -1), Moebius(i, 0, 0, 1)], 24
+        gens = [Moebius(i, i, 1, -1), Moebius(i, 0, 0, 1)]
     elif kind == "icosahedral":
         z5 = root_of_unity(5)
         golden = -(z5 ** 2 + z5 ** 3)
         gens = [Moebius(z5, 0, 0, 1), Moebius(0, -1, 1, 0),
                 Moebius(golden, 1, 1, -golden)]
-        order = 60
     else:
         raise DegenerateParamsError(f"unknown preset kind {kind!r}")
-    return group_closure(gens, cap=order)
+    return group_closure(gens, cap=GroupKind(kind.capitalize(), n).order)
 
 
 def closed_form_pair(kind: str, n: int | None, a, b):

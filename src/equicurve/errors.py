@@ -103,7 +103,3 @@ class TrivialAutomorphismError(ConstructionError):
 
 class FixedPointInLambdaError(ConstructionError):
     """The involution construction requires fixed points away from Lambda."""
-
-
-class CertificateFailure(EquicurveError):
-    """Raised by the CLI when a requested verification does not pass."""

@@ -15,10 +15,9 @@ g, the decision runs on the number of g-fixed points left on the curve:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import lcm
 
 from .certificates import Certificate
-from .cyclotomic import CycNum, _power, as_cyc, root_of_unity
+from .cyclotomic import CycNum, as_cyc, root_of_unity
 from .errors import (
     ConstructionError,
     DegenerateParamsError,
@@ -71,38 +70,8 @@ class CurveAut:
                      if not self.fixed_form.eval(p.a, p.b))
         self.fixed_in_lambda = in_lam
         self.fixed_on_curve = sf.degree - in_lam
-        self.order = self._order()
-
-    def _order(self):
-        r = len(self.points)
-        if r >= 3:
-            # order of the induced permutation; a Moebius map fixing three
-            # points is the identity, so this is exact
-            k = _permutation_order(self.g, self.points)
-            if not _power(self.g, k, Moebius.identity()).is_identity():
-                raise ArithmeticError(f"{self.g}^{k} is not the identity")
-            return k
-        if (self.g * self.g).is_identity():
-            return 2
         o = self.g.order()
-        return o if o is not None else _INFINITE
-
-
-def _permutation_order(g: Moebius, pts: list[P1Point]) -> int:
-    index = {p: i for i, p in enumerate(pts)}
-    seen = [False] * len(pts)
-    out = 1
-    for i in range(len(pts)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = index[g.apply(pts[j])]
-            length += 1
-        out = lcm(out, length)
-    return out
+        self.order = o if o is not None else _INFINITE
 
 
 @dataclass

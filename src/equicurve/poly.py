@@ -33,18 +33,23 @@ _SPLIT_MIN = 8
 _ORDER = sys.byteorder
 
 
-def _fmt_term(c: CycNum, mono: str, first: bool) -> str:
-    s = str(c)
-    neg = s.startswith("-") and not s.startswith("-c")  # plain negative rational
-    if neg:
-        s = s[1:]
-    if mono:
-        if s == "1":
-            s = mono
-        else:
-            s = f"{s}*{mono}"
-    sign = ("-" if neg else "") if first else (" - " if neg else " + ")
-    return sign + s
+def _fmt_terms(terms) -> str:
+    """Print (coefficient, ((variable, exponent), ...)) terms in the order
+    given, skipping zero coefficients and zero exponents; "0" if none."""
+    parts = []
+    for c, powers in terms:
+        if not c:
+            continue
+        s = str(c)
+        neg = s.startswith("-") and not s.startswith("-c")  # plain negative rational
+        if neg:
+            s = s[1:]
+        mono = "*".join(v if e == 1 else f"{v}^{e}" for v, e in powers if e)
+        if mono:
+            s = mono if s == "1" else f"{s}*{mono}"
+        parts.append((" - " if neg else " + ") if parts else ("-" if neg else ""))
+        parts.append(s)
+    return "".join(parts) or "0"
 
 
 def _upoly(cs: list) -> "UPoly":
@@ -346,16 +351,8 @@ class UPoly:
         return out
 
     def __str__(self) -> str:
-        if not self.c:
-            return "0"
-        parts = []
-        for i in range(len(self.c) - 1, -1, -1):
-            v = self.c[i]
-            if not v:
-                continue
-            mono = "" if i == 0 else ("x" if i == 1 else f"x^{i}")
-            parts.append(_fmt_term(v, mono, not parts))
-        return "".join(parts)
+        return _fmt_terms((self.c[i], (("x", i),))
+                          for i in range(self.degree, -1, -1))
 
     __repr__ = __str__
 
@@ -647,19 +644,8 @@ class HPoly2:
         return s if self.u == other.u * s else None
 
     def __str__(self) -> str:
-        if not self.u.c:
-            return "0"
-        parts = []
-        for i in range(self.u.degree, -1, -1):
-            v = self.u.c[i]
-            if not v:
-                continue
-            j = self.d - i
-            xs = "" if i == 0 else ("x" if i == 1 else f"x^{i}")
-            ys = "" if j == 0 else ("y" if j == 1 else f"y^{j}")
-            mono = "*".join(s for s in (xs, ys) if s)
-            parts.append(_fmt_term(v, mono, not parts))
-        return "".join(parts)
+        return _fmt_terms((self.u.c[i], (("x", i), ("y", self.d - i)))
+                          for i in range(self.u.degree, -1, -1))
 
     __repr__ = __str__
 
@@ -914,18 +900,8 @@ class MPoly:
         return _evaluate((self,), values)[0]
 
     def __str__(self) -> str:
-        if not self.c:
-            return "0"
-        parts = []
-        for e in sorted(self.c, reverse=True):
-            monos = []
-            for name, ei in zip(self.vars, e):
-                if ei == 1:
-                    monos.append(name)
-                elif ei > 1:
-                    monos.append(f"{name}^{ei}")
-            parts.append(_fmt_term(self.c[e], "*".join(monos), not parts))
-        return "".join(parts)
+        return _fmt_terms((self.c[e], zip(self.vars, e))
+                          for e in sorted(self.c, reverse=True))
 
     __repr__ = __str__
 

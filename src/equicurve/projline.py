@@ -168,18 +168,17 @@ class Moebius(_Mat2):
     def is_identity(self) -> bool:
         return (not self.b) and (not self.c) and self.a == 1 and self.d == 1
 
-    def order(self, cap: int | None = None) -> int | None:
-        """Multiplicative order, or None if it exceeds the cap.
+    def order(self) -> int | None:
+        """Multiplicative order, or None if it is infinite.
 
-        The default cap max(6, 2M), M the lcm of the entries' conductors,
-        bounds every finite order: an element of order n has tr^2/det =
-        zeta_n + 1/zeta_n + 2 in Q(zeta_M), and that field holds
-        zeta_n + 1/zeta_n only for n <= 6 or n dividing 2M.
+        Powers are tried up to max(6, 2M), M the lcm of the entries'
+        conductors, which bounds every finite order: an element of order n
+        has tr^2/det = zeta_n + 1/zeta_n + 2 in Q(zeta_M), and that field
+        holds zeta_n + 1/zeta_n only for n <= 6 or n dividing 2M.
         """
-        if cap is None:
-            cap = max(6, 2 * lcm(*(v.m for v in self.entries())))
+        bound = max(6, 2 * lcm(*(v.m for v in self.entries())))
         g = self
-        for k in range(1, cap + 1):
+        for k in range(1, bound + 1):
             if g.is_identity():
                 return k
             g = g * self
@@ -226,7 +225,16 @@ class GroupKind:
             return self.n
         if self.name == "Dihedral":
             return 2 * self.n
-        return {"Tetrahedral": 12, "Octahedral": 24, "Icosahedral": 60}[self.name]
+        return sum(_EXCEPTIONAL_ORDERS[self.name].values())
+
+
+# {element order: count} for the three finite subgroups of PGL(2) that are
+# neither cyclic nor dihedral (Klein, Lectures on the Icosahedron, I.2)
+_EXCEPTIONAL_ORDERS = {
+    "Tetrahedral": {1: 1, 2: 3, 3: 8},
+    "Octahedral": {1: 1, 2: 9, 3: 8, 4: 6},
+    "Icosahedral": {1: 1, 2: 15, 3: 20, 5: 24},
+}
 
 
 @dataclass
@@ -264,26 +272,19 @@ class FinSubgroupG:
         return len(self.elements)
 
 
-def _element_orders(elements: list[Moebius]) -> list[int]:
-    return [g.order(cap=len(elements) + 1) for g in elements]
-
-
 def classify_group(elements: list[Moebius]) -> GroupKind:
     n = len(elements)
-    orders = _element_orders(elements)
+    orders = [g.order() for g in elements]
     if any(o is None for o in orders):  # pragma: no cover - closure guarantees
-        raise NotFiniteWithinCapError("element order exceeded the group order")
+        raise NotFiniteWithinCapError("an element has infinite order")
     if max(orders) == n:
         return GroupKind("Cyclic", n)
     stats = {}
     for o in orders:
         stats[o] = stats.get(o, 0) + 1
-    if n == 12 and stats == {1: 1, 2: 3, 3: 8}:
-        return GroupKind("Tetrahedral")
-    if n == 24 and stats == {1: 1, 2: 9, 3: 8, 4: 6}:
-        return GroupKind("Octahedral")
-    if n == 60 and stats == {1: 1, 2: 15, 3: 20, 5: 24}:
-        return GroupKind("Icosahedral")
+    for name, table in _EXCEPTIONAL_ORDERS.items():
+        if stats == table:
+            return GroupKind(name)
     if n % 2 == 0 and max(orders) == n // 2:
         return GroupKind("Dihedral", n // 2)
     raise NotFiniteWithinCapError(

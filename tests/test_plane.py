@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from equicurve import plane
 from equicurve.cyclotomic import CycNum, root_of_unity
 from equicurve.errors import (
     DegenerateParamsError,
@@ -147,7 +146,7 @@ def test_orbit_sizes_of_finite_order_maps():
             Moebius(0, 1, -1, 1)]
     pool = [0, 1, -1, 2, 3, 5, CycNum(1) / 2, W, I4, 1 + W]
     for g in maps:
-        n = g.order(cap=30)
+        n = g.order()
         fixed = fixed_points(g)
         for _ in range(50 // len(maps) + 1):
             p = pt(rng.choice(pool)) if rng.random() < 0.9 else INF
@@ -192,13 +191,19 @@ def test_decision_total_on_finite_orders():
             assert v.certificate.ok
 
 
-def test_order_self_check_raises(monkeypatch):
-    # a wrong permutation order must not pass silently, also under python -O
-    pts = [pt(2), pt(-2), pt(3), pt(-3)]
-    assert CurveAut(pts, Moebius(-1, 0, 0, 1)).order == 2
-    monkeypatch.setattr(plane, "_permutation_order", lambda g, points: 1)
-    with pytest.raises(ArithmeticError):
-        CurveAut(pts, Moebius(-1, 0, 0, 1))
+def test_curve_aut_order_of_rotations():
+    # x -> zeta_n x on r >= 3 points of its orbits; the 6th roots sit at the
+    # bound max(6, 2M) of Moebius.order, M = 3
+    for n in range(2, 7):
+        z = root_of_unity(n)
+        g = Moebius(z, 0, 0, 1)
+        roots = [P1Point(z ** k, 1) for k in range(n)]
+        point_sets = [roots + [P1Point(2 * z ** k, 1) for k in range(n)]]
+        if n == 6:
+            point_sets.append(roots + [P1Point(0, 1), INF])
+        for pts in point_sets:
+            c = CurveAut(pts, g)
+            assert c.order == g.order() == n
 
 
 def test_curve_aut_rejects_non_invariant_set():

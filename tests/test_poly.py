@@ -19,6 +19,7 @@ from equicurve.parsing import (
 )
 from equicurve.poly import (
     HPoly2,
+    MPoly,
     UPoly,
     URatFun,
     poly3_compose,
@@ -107,6 +108,17 @@ def test_hpoly_divexact_and_gcd():
     g = (p * q).gcd(p * parse_hpoly("x - 3*y"))
     assert g == p.normalized()
     assert parse_hpoly("x^3*y^2").gcd(parse_hpoly("x*y^4")) == parse_hpoly("x*y^2")
+
+
+def test_hpoly_prints_as_the_mpoly_in_x_y():
+    rng = random.Random(17)
+    for d in range(7):
+        for conductor in (1, 3, 8):
+            h = rand_hpoly(rng, d, conductor)
+            m = MPoly(("x", "y"),
+                      {(i, d - i): v for i, v in enumerate(h.u.c)})
+            assert str(h) == str(m)
+    assert str(HPoly2()) == str(MPoly(("x", "y"))) == "0"
 
 
 def test_upoly_xgcd_examples():
