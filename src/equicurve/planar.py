@@ -53,7 +53,12 @@ MAX_WITNESS_DEGREE = 24
 
 @dataclass
 class Aut3:
-    """Automorphism of A^3 with an explicit two-sided inverse witness."""
+    """Automorphism of A^3 with an explicit two-sided inverse witness.
+
+    Construction evaluates forward o inverse and inverse o forward and
+    compares both with the identity, so every Aut3 a caller receives has
+    been checked both ways, once, when it was built.
+    """
 
     forward: tuple[MPoly, MPoly, MPoly]
     inverse: tuple[MPoly, MPoly, MPoly]
@@ -70,21 +75,25 @@ class Aut3:
         return poly3_compose(self.forward, triple)
 
 
-def compose_aut3(outer: Aut3, inner: Aut3) -> Aut3:
-    """outer after inner."""
-    return Aut3(
-        poly3_compose(outer.forward, inner.forward),
-        poly3_compose(inner.inverse, outer.inverse),
-        label=f"{outer.label} o {inner.label}".strip(" o"),
-    )
+def _compose(steps: list) -> Aut3:
+    # steps are (forward, inverse, label) applied left to right; composites
+    # of two-sided inverses are two-sided inverses, so no prefix is checked,
+    # and the Aut3 built at the end checks the composite once
+    forward, inverse = steps[0][:2] if steps else (poly3_identity(),) * 2
+    for f, g, _ in steps[1:]:
+        forward = poly3_compose(f, forward)
+        inverse = poly3_compose(inverse, g)
+    return Aut3(forward, inverse,
+                " o ".join(label for *_, label in reversed(steps)) or "id")
 
 
 def compose_chain(chain: list[Aut3]) -> Aut3:
-    """Compose a chain applied left to right (chain[0] first)."""
-    out = Aut3(poly3_identity(), poly3_identity(), label="id")
-    for step in chain:
-        out = compose_aut3(step, out)
-    return out
+    """Compose a chain applied left to right (chain[0] first).
+
+    The mutual-inverse identity is evaluated once, on the composite
+    returned (by :class:`Aut3`); each step was checked when it was built.
+    """
+    return _compose([(s.forward, s.inverse, s.label) for s in chain])
 
 
 @dataclass
@@ -123,6 +132,8 @@ def subalgebra_witness(target: URatFun, gens: tuple[URatFun, URatFun],
 
     For each degree the linear system from clearing denominators is solved
     exactly; free variables are zeroed, so the answer is deterministic.
+    Each solution is re-checked by substituting it, independently of the
+    solver, and only a witness that passes is returned.
     Returns None when the cap is reached, which signals either a too-small
     cap or a genuine subalgebra gap; a cap above ``MAX_WITNESS_DEGREE``
     raises :class:`InputBoundError` before any system is solved.
@@ -131,13 +142,14 @@ def subalgebra_witness(target: URatFun, gens: tuple[URatFun, URatFun],
         raise InputBoundError(f"witness degree cap {degree_cap} exceeds "
                               f"{MAX_WITNESS_DEGREE}")
     q, r = gens
+    bases = (q.num, q.den, r.num, r.den)   # one more power of each per degree
+    powers = tuple([UPoly.const(1)] for _ in bases)
+    q1_p, q2_p, r1_p, r2_p = powers
     for d in range(1, degree_cap + 1):
+        for table, base in zip(powers, bases):
+            table.append(table[-1] * base)
         monos = [(i, j) for tot in range(d + 1)
                  for i in range(tot + 1) for j in (tot - i,)]
-        q1_p = [q.num ** i for i in range(d + 1)]
-        q2_p = [q.den ** i for i in range(d + 1)]
-        r1_p = [r.num ** i for i in range(d + 1)]
-        r2_p = [r.den ** i for i in range(d + 1)]
         cols = []
         for (i, j) in monos:
             cols.append(q1_p[i] * q2_p[d - i] * r1_p[j] * r2_p[d - j]
@@ -155,8 +167,7 @@ def subalgebra_witness(target: URatFun, gens: tuple[URatFun, URatFun],
         witness = MPoly(variables,
                         {(i, j): sol[idx] for idx, (i, j) in enumerate(monos)})
         # soundness re-check, independently of the solver
-        value = witness.substitute((q, r))
-        if value == target:
+        if witness.substitute((q, r)) == target:
             return witness
     return None
 
@@ -175,15 +186,15 @@ def normalize_planar(e: PlanarEmbedding, degree_cap: int = 12):
     x = URatFun.x()
     cert = Certificate("planar normalization")
 
+    # a witness is returned only once its substitution has been re-checked,
+    # so each witness clause records the outcome of that one re-check
     A = subalgebra_witness(x, (e.Q, e.R), degree_cap, ("Y", "Z"))
-    if A is None:
+    if not cert.check("witness A(Q, R) = x verified", A is not None):
         raise WitnessNotFoundError(
             f"no witness A(Q, R) = x within degree {degree_cap}: "
             f"(Q, R) may not generate the coordinate ring")
     a_poly3 = MPoly(POLY3_VARS, {(0, i, j): v for (i, j), v in A.c.items()})
     f2 = Aut3((X + a_poly3, Y, Z), (X - a_poly3, Y, Z), label="f2")
-    cert.check("witness A(Q, R) = x verified",
-               A.substitute((e.Q, e.R)) == x)
 
     chosen = None
     for (a, b) in _AB_SAMPLES:
@@ -210,23 +221,19 @@ def normalize_planar(e: PlanarEmbedding, degree_cap: int = 12):
     one_over_p = URatFun(UPoly.const(1), e.P)
     target_b = one_over_p - e.R
     B = subalgebra_witness(target_b, (x, qprime), degree_cap, ("X", "Y"))
-    if B is None:
+    if not cert.check("witness B(x, Q') = 1/P - R verified", B is not None):
         raise WitnessNotFoundError(
             f"no witness B(x, Q') = 1/P - R within degree {degree_cap}")
     b_poly3 = MPoly(POLY3_VARS, {(i, j, 0): v for (i, j), v in B.c.items()})
     f4 = Aut3((X, Y, Z + b_poly3), (X, Y, Z - b_poly3), label="f4")
-    cert.check("witness B(x, Q') = 1/P - R verified",
-               B.substitute((x, qprime)) == target_b)
 
     C = subalgebra_witness(qprime, (x, one_over_p), degree_cap, ("X", "Z"))
-    if C is None:
+    if not cert.check("witness C(x, 1/P) = Q' verified", C is not None):
         raise WitnessNotFoundError(
             f"no witness C(x, 1/P) = Q' within degree {degree_cap}")
     c_y = MPoly(POLY3_VARS, {(i, j, 0): v for (i, j), v in C.c.items()})
     c_z = MPoly(POLY3_VARS, {(i, 0, j): v for (i, j), v in C.c.items()})
     f5 = Aut3((X, Z, Y - c_z), (X, Z + c_y, Y), label="f5")
-    cert.check("witness C(x, 1/P) = Q' verified",
-               C.substitute((x, one_over_p)) == qprime)
 
     chain = [f2, f3, f4, f5]
     final = e.triple()
@@ -243,17 +250,18 @@ def connect_planar(e1: PlanarEmbedding, e2: PlanarEmbedding,
                    degree_cap: int = 12):
     """An explicit automorphism of A^3 carrying e1 onto e2 (same curve).
 
-    Composes chain(e1) with the inverse of chain(e2); returns
-    (automorphism, certificate).
+    Composes chain(e1), then the steps of chain(e2) in reverse with forward
+    and inverse swapped, as one chain: the mutual-inverse identity is
+    evaluated once, on the composite returned.  Returns (automorphism,
+    certificate).
     """
     if e1.P.monic() != e2.P.monic():
         raise DegenerateParamsError("the two embeddings remove different points")
     chain1, c1 = normalize_planar(e1, degree_cap)
     chain2, c2 = normalize_planar(e2, degree_cap)
-    fwd = compose_chain(chain1)
-    back = compose_chain(chain2)
-    bridge = Aut3(back.inverse, back.forward, label="chain2^-1")
-    total = compose_aut3(bridge, fwd)
+    total = _compose([(s.forward, s.inverse, s.label) for s in chain1]
+                     + [(s.inverse, s.forward, f"{s.label}^-1")
+                        for s in reversed(chain2)])
     cert = Certificate("equivalence of two planar embeddings")
     cert.check("both normalizations succeeded", c1.ok and c2.ok)
     image = total.apply(e1.triple())

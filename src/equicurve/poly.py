@@ -14,6 +14,7 @@ from __future__ import annotations
 import sys
 from array import array
 from fractions import Fraction
+from functools import partial
 from math import lcm
 
 from .cyclotomic import (CycNum, _check_cap, _lift, _mul_nums, _normal,
@@ -696,6 +697,23 @@ def _substitute(cs: list, d: int, a: tuple, power, m: int) -> list:
     return out
 
 
+def _linear_power(pows, linears, m: int, i: int, j: int) -> list:
+    """Rows of the j-th power of the linear form ``linears[i]``, memoized in
+    ``pows[i]``: one step up from j - 1 while Horner's rule reads them in
+    turn, else a packed product of halves.  A module function, not a
+    closure, so that the tables form no reference cycle."""
+    table = pows[i]
+    if j not in table:
+        if j <= _SPLIT_MIN or j - 1 in table:
+            below = _linear_power(pows, linears, m, i, j - 1)
+            table[j] = _times_linear(below, *linears[i], m)
+        else:
+            h = j // 2
+            table[j] = _kron_mul(_linear_power(pows, linears, m, i, h),
+                                 _linear_power(pows, linears, m, i, j - h), m)
+    return table[j]
+
+
 def compose_matrix_many(polys, mat):
     """Substitute (x, y) <- (m11 x + m12 y, m21 x + m22 y) into each form.
 
@@ -758,19 +776,7 @@ def compose_matrix_many(polys, mat):
     e11, e12, e21, e22 = scalars(_numerators(entries, m, den, m == 1))
     a, b = (e12, e11), (e22, e21)   # A = e11 x + e12, B = e21 x + e22
     one = [1] + [0] * (euler_phi(m) - 1)
-    pows = ({0: [one]}, {0: [one]})
-
-    def power(i, j):
-        # rows of A^j (i = 0) or B^j (i = 1): one step up from j - 1 while
-        # Horner's rule reads them in turn, else a packed product of halves
-        table = pows[i]
-        if j not in table:
-            c0, c1 = (a, b)[i]
-            table[j] = _times_linear(power(i, j - 1), c0, c1, m) \
-                if j <= _SPLIT_MIN or j - 1 in table else \
-                _kron_mul(power(i, j // 2), power(i, j - j // 2), m)
-        return table[j]
-
+    power = partial(_linear_power, ({0: [one]}, {0: [one]}), (a, b), m)
     out = []
     for p, scan in zip(polys, scans):
         if not scan:

@@ -346,12 +346,6 @@ def _transport(src_m, dst: tuple[P1Point, P1Point, P1Point]) -> Moebius:
     return Moebius(*_mat_mul(_adjugate(_triple_matrix(*dst)), src_m))
 
 
-def moebius_through(src: tuple[P1Point, P1Point, P1Point],
-                    dst: tuple[P1Point, P1Point, P1Point]) -> Moebius:
-    """The unique Moebius map with src_i -> dst_i (triples of distinct points)."""
-    return _transport(_triple_matrix(*src), dst)
-
-
 def aut_of_lambda(points: list[P1Point], cap: int = 120) -> FinSubgroupH:
     """All Moebius maps preserving the set, found by triple transport.
 

@@ -2,9 +2,9 @@
 
 These deliberately avoid the library's own code paths wherever a value is
 being cross-checked: the stabilizer search is a triple transport of its own,
-with a different base triple, enumeration order and membership test, square
-roots are verified by squaring, and polynomial identities are evaluated
-pointwise at many rational points.
+with a different transport formula, base triple, enumeration order and
+membership test, square roots are verified by squaring, and polynomial
+identities are evaluated pointwise at many rational points.
 """
 from __future__ import annotations
 
@@ -26,19 +26,36 @@ from equicurve.projline import (
     classify_group,
     dedupe_points,
     minimal_generators,
-    moebius_through,
     sort_moebius,
     sort_points,
 )
 
 
+def _frame(p1: P1Point, p2: P1Point, p3: P1Point) -> tuple:
+    """Entries of a matrix sending [1:0], [0:1], [1:1] to p1, p2, p3: its
+    columns are lam p1 and mu p2, where p3 = lam p1 + mu p2 by Cramer's rule
+    (both scaled by the common determinant)."""
+    lam = p3.a * p2.b - p3.b * p2.a
+    mu = p1.a * p3.b - p1.b * p3.a
+    return (lam * p1.a, mu * p2.a, lam * p1.b, mu * p2.b)
+
+
+def moebius_through(src: tuple[P1Point, P1Point, P1Point],
+                    dst: tuple[P1Point, P1Point, P1Point]) -> Moebius:
+    """The unique Moebius map with src_i -> dst_i (triples of distinct
+    points): the frame of dst times the adjugate of the frame of src, a
+    different formula from the library's triple transport."""
+    a, b, c, d = _frame(*dst)
+    e, f, g, h = _frame(*src)
+    return Moebius(a * h - b * g, b * e - a * f, c * h - d * g, d * e - c * f)
+
+
 def stabilizer_oracle(points: list[P1Point], cap: int = 120) -> FinSubgroupH:
     """Exhaustive triple transport, independent of the library's search: the
     last three points are the base triple, the image triples are enumerated
-    in reversed order and set preservation is tested by an equality scan,
-    with no hashing.  The transport formula is shared with the library: each
-    map comes from ``moebius_through``, which ``test_moebius_through`` pins
-    point by point."""
+    in reversed order, each map comes from the oracle's own
+    ``moebius_through`` (pinned point by point by ``test_moebius_through``),
+    and set preservation is tested by an equality scan, with no hashing."""
     pts = sort_points(dedupe_points(points))
     if len(pts) < 3:
         raise TooFewPointsError("automorphism search needs at least 3 points")

@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 
@@ -314,3 +315,18 @@ def test_points_and_orbit_polynomials_give_the_same_embedding():
         assert emb.nums == emb2.nums and emb.den == emb2.den
         assert emb.lambda_poly == emb2.lambda_poly
         assert cert.clauses == cert2.clauses
+
+
+def test_tetrahedral_embedding_leaves_no_reference_cycles():
+    # every intermediate table is freed by reference counting alone, so a
+    # long run keeps no garbage waiting for the cyclic collector
+    h = standard_group("tetrahedral")
+    gc.collect()
+    gc.disable()
+    try:
+        emb, cert = build_embedding(h, points=_orbit_of(h, P1Point(0, 1)))
+        fam = preset_family("tetrahedral", None, [(0, 1)])
+        assert cert.ok and fam.certificate.ok
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from equicurve.cyclotomic import as_cyc
 from equicurve.errors import (
@@ -17,12 +18,21 @@ from equicurve.parsing import (
 from equicurve.planar import (
     Aut3,
     PlanarEmbedding,
+    compose_chain,
     connect_planar,
     normalize_planar,
     subalgebra_witness,
     verify_extension,
 )
-from equicurve.poly import MPoly, POLY3_VARS, URatFun, UPoly, poly3_var
+from equicurve.poly import (
+    MPoly,
+    POLY3_VARS,
+    URatFun,
+    UPoly,
+    poly3_compose,
+    poly3_identity,
+    poly3_var,
+)
 from equicurve.projline import Moebius
 
 
@@ -107,6 +117,44 @@ def test_aut3_rejects_wrong_inverse():
     X, Y, Z = (poly3_var(v) for v in "XYZ")
     with pytest.raises(DegenerateParamsError):
         Aut3((X + Y, Y, Z), (X + Y, Y, Z))
+
+
+_small = st.integers(-3, 3)
+
+
+@st.composite
+def elementary_steps(draw):
+    X, Y, Z = poly3_identity()
+    kind = draw(st.sampled_from(["shear", "mix", "swap"]))
+    if kind == "shear":   # (X + a(Y, Z), Y, Z)
+        a = MPoly(POLY3_VARS, {(0, i, j): draw(_small)
+                               for i in range(3) for j in range(3 - i)})
+        return Aut3((X + a, Y, Z), (X - a, Y, Z), label="shear")
+    if kind == "mix":     # (X, aY + bZ, Z), a != 0
+        a = as_cyc(draw(_small.filter(bool)))
+        b = as_cyc(draw(_small))
+        return Aut3((X, a * Y + b * Z, Z),
+                    (X, a.inverse() * Y - a.inverse() * b * Z, Z),
+                    label="mix")
+    i, j = draw(st.sampled_from([(0, 1), (0, 2), (1, 2)]))
+    swapped = [X, Y, Z]
+    swapped[i], swapped[j] = swapped[j], swapped[i]
+    return Aut3(tuple(swapped), tuple(swapped), label="swap")
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.lists(elementary_steps(), max_size=5))
+def test_compose_chain_returns_two_sided_inverses(chain):
+    # composites of two-sided inverses are two-sided inverses, which is why
+    # compose_chain checks only the composite it returns
+    out = compose_chain(chain)
+    ident = poly3_identity()
+    assert poly3_compose(out.forward, out.inverse) == ident
+    assert poly3_compose(out.inverse, out.forward) == ident
+    applied = ident
+    for step in chain:
+        applied = step.apply(applied)
+    assert out.forward == applied
 
 
 def random_embedding(rng, P):

@@ -26,12 +26,11 @@ from equicurve.projline import (
     fixed_points,
     group_closure,
     minimal_generators,
-    moebius_through,
     orbit_decompose,
     sl2_pullback,
     sort_points,
 )
-from oracles import same_group, stabilizer_oracle
+from oracles import moebius_through, same_group, stabilizer_oracle
 
 W = root_of_unity(3)
 I4 = root_of_unity(4)
@@ -121,14 +120,6 @@ def test_standard_group_has_the_order_of_its_kind(kind, n):
     assert classify_group(h.elements) == expected
 
 
-def test_moebius_through():
-    src = (P1Point(0, 1), pt(1), INF)
-    dst = (pt(2), pt(3), pt(5))
-    g = moebius_through(src, dst)
-    for s, d in zip(src, dst):
-        assert g.apply(s) == d
-
-
 def test_aut_of_lambda_examples():
     h = aut_of_lambda([P1Point(0, 1), pt(1), INF])
     assert h.order == 6
@@ -144,6 +135,15 @@ def test_aut_of_lambda_examples():
         aut_of_lambda([pt(1), pt(2)])
 
 
+def test_aut_of_lambda_cap_boundary():
+    # three points have a stabilizer of order 6: a cap of 6 admits it, and
+    # a cap of 5 stops the search at the sixth map
+    pts = [P1Point(0, 1), pt(1), INF]
+    assert aut_of_lambda(pts, cap=6).order == 6
+    with pytest.raises(NotFiniteWithinCapError, match="exceeded cap 5"):
+        aut_of_lambda(pts, cap=5)
+
+
 def test_aut_of_lambda_nine_point_family():
     from equicurve.plane import cube_symmetric_family
     pts = cube_symmetric_family(3, [1, 2, 5])
@@ -151,6 +151,15 @@ def test_aut_of_lambda_nine_point_family():
     rot = Moebius(1, 0, 0, W)
     assert any(g == rot for g in h.elements)
     assert h.order % 3 == 0
+
+
+def test_moebius_through():
+    # the stabilizer oracle's own transport, pinned point by point
+    for src, dst in (((P1Point(0, 1), pt(1), INF), (pt(2), pt(3), pt(5))),
+                     ((pt(2), P1Point(W, 1), pt(-1)), (INF, pt(0), pt(I4)))):
+        g = moebius_through(src, dst)
+        for s, d in zip(src, dst):
+            assert g.apply(s) == d
 
 
 def test_aut_of_lambda_oracle_equivalence():
