@@ -7,7 +7,9 @@ numerators over one shared denominator (FLINT's ``nf_elem`` layout) with
 conductor, so same-conductor equality is a tuple comparison.  Arithmetic,
 inversion and subfield descent are integer-only; ``Fraction`` appears only
 where values enter or leave (construction, ``as_fraction``, ``key_under``,
-printing).
+printing).  Values of Q (conductor 1) are computed as one numerator over one
+denominator with one gcd: the degree-1 case beside the closed form used for
+the degree-2 fields (phi(m) = 2).
 
 Conductors are kept normalized: m = 2 mod 4 never occurs, since
 Q(zeta_2k) = Q(zeta_k) for odd k.  Mixed-conductor arithmetic unifies into
@@ -199,14 +201,14 @@ def _mul_nums(m: int, a, b) -> list[int]:
 
 
 def _normal(m: int, nums, den: int) -> "CycNum":
+    if m == 1:
+        return _quotient(nums[0], den)
     g = gcd(*nums, den)
     if den < 0:
         g = -g
     if g != 1:
         nums = [v // g for v in nums]
         den //= g
-    if m == 1:
-        return _rational(nums[0], den)
     return _make(m, tuple(nums), den)
 
 
@@ -291,13 +293,20 @@ class CycNum:
         o = other if type(other) is CycNum else self._coerce(other)
         if o is None:
             return NotImplemented
+        da, db = self.den, o.den
+        if self.m == 1 == o.m:
+            if o is _ZERO:
+                return self
+            if self is _ZERO and sign > 0:
+                return o
+            b = o.nums[0] if sign > 0 else -o.nums[0]
+            return _quotient(self.nums[0] * db + b * da, da * db)
         # adding zero keeps a value and its conductor unless lcm grows it
         if not any(o.nums) and self.m % o.m == 0:
             return self
         if sign > 0 and not any(self.nums) and o.m % self.m == 0:
             return o
         m, a, b = self._with(o)
-        da, db = self.den, o.den
         if da == db:
             nums = [x + y for x, y in zip(a, b)] if sign > 0 else \
                 [x - y for x, y in zip(a, b)]
@@ -327,6 +336,13 @@ class CycNum:
         o = other if type(other) is CycNum else self._coerce(other)
         if o is None:
             return NotImplemented
+        if self.m == 1 == o.m:
+            # shared 0 and 1, about half of all rational factors, cost no gcd
+            if o is _ONE or self is _ZERO:
+                return self
+            if self is _ONE or o is _ZERO:
+                return o
+            return _quotient(self.nums[0] * o.nums[0], self.den * o.den)
         if not any(o.nums[1:]):
             a, q = self, o
         elif not any(self.nums[1:]):
@@ -348,8 +364,7 @@ class CycNum:
         if not any(nums):
             raise ZeroDivisionError("inverse of zero")
         if not any(nums[1:]):
-            n = nums[0]
-            return _rational(den if n > 0 else -den, abs(n))
+            return _quotient(den, nums[0])
         if len(nums) == 2:
             # degree-2 field: conjugate over Phi = x^2 + p x + q
             q, p, _ = cyclotomic_polynomial(m)
@@ -367,16 +382,20 @@ class CycNum:
         return _normal(m, [v * den for v in conj], norm)
 
     def __truediv__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is CycNum else self._coerce(other)
         if o is None:
             return NotImplemented
+        if self.m == 1 == o.m:
+            if not o.nums[0]:
+                raise ZeroDivisionError("division by zero")
+            return _quotient(self.nums[0] * o.den, self.den * o.nums[0])
         return self * o.inverse()
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o * self.inverse()
+        return o / self
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
@@ -474,6 +493,7 @@ def _make(m: int, nums: tuple[int, ...], den: int) -> CycNum:
 
 _SMALL = 64
 _SMALL_INTS = tuple(_make(1, (n,), 1) for n in range(-_SMALL, _SMALL + 1))
+_ZERO, _ONE = _SMALL_INTS[_SMALL], _SMALL_INTS[_SMALL + 1]
 
 
 def _rational(n: int, d: int = 1) -> CycNum:
@@ -483,6 +503,18 @@ def _rational(n: int, d: int = 1) -> CycNum:
     if d == 1 and -_SMALL <= n <= _SMALL:
         return _SMALL_INTS[n + _SMALL]
     return _make(1, (n,), d)
+
+
+def _quotient(n: int, d: int) -> CycNum:
+    # n/d for d != 0, brought to lowest terms over a positive denominator:
+    # the one place where a computed rational reaches its normal form
+    g = gcd(n, d)
+    if d < 0:
+        g = -g
+    if g != 1:
+        n //= g
+        d //= g
+    return _rational(n, d)
 
 
 @lru_cache(maxsize=None)

@@ -196,22 +196,22 @@ def normalize_planar(e: PlanarEmbedding, degree_cap: int = 12):
     a_poly3 = MPoly(POLY3_VARS, {(0, i, j): v for (i, j), v in A.c.items()})
     f2 = Aut3((X + a_poly3, Y, Z), (X - a_poly3, Y, Z), label="f2")
 
-    chosen = None
+    # the divisibility that picks (a, b) is the value the clause records
     for (a, b) in _AB_SAMPLES:
         if a == 0:
             continue  # (X, aY+bZ, Z) must stay invertible
-        cand = as_cyc(a) * e.Q + as_cyc(b) * e.R
-        if cand.den.degree > 0 and (cand.den % e.P.monic()).is_zero():
-            chosen = (as_cyc(a), as_cyc(b), cand)
+        qprime = as_cyc(a) * e.Q + as_cyc(b) * e.R
+        poles = qprime.den.degree > 0 and (qprime.den % e.P.monic()).is_zero()
+        if poles:
             break
-    if chosen is None:
+    else:
         raise PoleConditionError(
             "no sampled (a, b) makes every root of P a pole of aQ + bR")
-    a, b, qprime = chosen
+    a, b = as_cyc(a), as_cyc(b)
     ainv = a.inverse()
     f3 = Aut3((X, a * Y + b * Z, Z), (X, ainv * Y - ainv * b * Z, Z),
               label="f3")
-    cert.check(f"pole condition holds for (a, b) = ({a}, {b})", True)
+    cert.check(f"pole condition holds for (a, b) = ({a}, {b})", poles)
 
     q1, q2 = qprime.num, qprime.den
     g, u, v = q1.xgcd(e.P.monic())

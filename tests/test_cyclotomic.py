@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 from math import gcd
@@ -318,3 +319,48 @@ def test_property_rational_hash(q):
     assert hash(CycNum(q)) == hash(q)
     assert hash(CycNum(q).embedded(12)) == hash(q)
     assert hash(CycNum(q.numerator)) == hash(q.numerator)
+
+
+# -- conductor 1: one numerator over one denominator ---------------------------
+
+# well past the shared integers [-64, 64], up to multi-word integers
+wide_int = st.one_of(st.integers(-200, 200), st.integers(-2 ** 130, 2 ** 130))
+wide_fraction = st.builds(Fraction, wide_int, wide_int.filter(bool))
+RATIONAL_OPS = (operator.add, operator.sub, operator.mul, operator.truediv)
+
+
+def assert_rational(got, want):
+    assert got.m == 1 and got.as_fraction() == want
+    assert_normal(got)
+    if want.denominator == 1 and -64 <= want <= 64:
+        assert got is CycNum(int(want))
+
+
+@PROPERTY
+@given(wide_fraction, wide_fraction, wide_int)
+@example(Fraction(3), Fraction(-3), -3)              # 0, 6, -9, -1
+@example(Fraction(7, 2), Fraction(1, -2), 64)        # 3, 4, -7/4, -7
+@example(Fraction(2 ** 100, 3), Fraction(2 ** 100, -3), 0)
+@example(Fraction(5, 3), Fraction(0), 1)             # shared 0 and 1 operands
+@example(Fraction(0), Fraction(1), 0)
+def test_property_conductor_one_matches_fraction(p, q, k):
+    x, y = CycNum(p), CycNum(q)
+    y4 = y.embedded(4)
+    for op in RATIONAL_OPS:
+        pairs = [(x, y, p, q), (x, q, p, q), (p, y, p, q),
+                 (x, k, p, k), (k, y, k, q)]
+        for left, right, lv, rv in pairs:
+            if op is operator.truediv and not rv:
+                with pytest.raises(ZeroDivisionError):
+                    op(left, right)
+                continue
+            assert_rational(op(left, right), op(Fraction(lv), rv))
+        # a rational stored over Q(i) gives the value of the conductor-1 path
+        if op is not operator.truediv or q:
+            mixed = op(x, y4)
+            assert_normal(mixed)
+            assert mixed == op(x, y)
+        if op is not operator.truediv or p:
+            mixed = op(y4, x)
+            assert_normal(mixed)
+            assert mixed == op(y, x)
