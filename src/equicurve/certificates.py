@@ -1,21 +1,24 @@
 """Machine-checked certificates: lists of (claim, status, witness) clauses."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from sys import intern
 
 
-@dataclass(frozen=True, slots=True)
-class Clause:
-    claim: str
-    ok: bool
-    witness: str = ""
+class Clause(namedtuple("Clause", "claim ok witness", defaults=("",))):
+    """One checked claim: its text, whether it held, and a witness."""
+
+    __slots__ = ()
 
 
-@dataclass
 class Certificate:
-    title: str
-    clauses: list[Clause] = field(default_factory=list)
+    """A titled list of clauses; it passes when every clause does."""
+
+    __slots__ = ("title", "clauses")
+
+    def __init__(self, title: str, clauses: list[Clause] | None = None):
+        self.title = title
+        self.clauses = [] if clauses is None else clauses
 
     def check(self, claim: str, ok: bool, witness: str = "") -> bool:
         # claims and witnesses repeat across certificates; interning shares
@@ -40,9 +43,6 @@ class Certificate:
 
 
 def merge(title: str, certs: list[Certificate]) -> Certificate:
-    out = Certificate(title)
-    for c in certs:
-        for cl in c.clauses:
-            out.clauses.append(
-                Clause(intern(f"{c.title}: {cl.claim}"), cl.ok, cl.witness))
-    return out
+    return Certificate(title, [
+        Clause(intern(f"{c.title}: {cl.claim}"), cl.ok, cl.witness)
+        for c in certs for cl in c.clauses])

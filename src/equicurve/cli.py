@@ -12,7 +12,6 @@ input, 3 a construction precondition failed.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import cyclotomic
@@ -24,7 +23,12 @@ from .equivariant import (
     verify_locus_invariance,
     verify_selfmap_equivariance,
 )
-from .errors import ConstructionError, EquicurveError, ParseError
+from .errors import (
+    ConductorCapError,
+    ConstructionError,
+    EquicurveError,
+    ParseError,
+)
 from .parsing import (
     parse_constants,
     parse_generators,
@@ -53,6 +57,11 @@ from .projline import (
     group_closure,
     sort_points,
 )
+
+# the json module, imported by the first JSON report so that a text report,
+# the default, never loads it; a module-level name, since bench/tracer.py
+# replaces it to time JSON rendering
+json = None
 
 
 def _points(text: str) -> list[P1Point]:
@@ -438,10 +447,15 @@ def run(argv) -> tuple[int, str]:
 
 
 def _report(args) -> tuple[int, str]:
+    global json
     try:
         data = _HANDLERS[args.command](args)
     except ParseError as e:
         return 2, f"parse error: {e}"
+    except ConductorCapError as e:
+        # the library names its Python setter; a shell user has the flag
+        message = str(e).replace("set_conductor_cap()", "--conductor-cap")
+        return 3, f"construction error: {message}"
     except (ConstructionError, ZeroDivisionError) as e:
         return 3, f"construction error: {e}"
     except EquicurveError as e:
@@ -449,6 +463,8 @@ def _report(args) -> tuple[int, str]:
     ok = _all_pass(data)
     data["exit"] = 0 if ok else 1
     if args.format == "json":
+        if json is None:
+            import json
         text = json.dumps(data, indent=2, sort_keys=True)
     else:
         text = _render_text(data, args.certificate)

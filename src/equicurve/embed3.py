@@ -9,7 +9,6 @@ identities.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .certificates import Certificate, merge
@@ -108,7 +107,6 @@ def verify_quadric_equivariance(h: Moebius) -> Certificate:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class EmbeddingA3:
     """A closed embedding of P^1 minus the zero set of ``lambda_poly``.
 
@@ -119,14 +117,21 @@ class EmbeddingA3:
     generator.
     """
 
-    group: FinSubgroupH
-    lambda_poly: HPoly2
-    nums: tuple[HPoly2, HPoly2, HPoly2]
-    den: HPoly2
-    orbit_dens: list[HPoly2]
-    reps: list[tuple[Moebius, Rep3]]
-    orbits: list[OrbitData]
-    selfmap: P1SelfMap
+    __slots__ = ("group", "lambda_poly", "nums", "den", "orbit_dens", "reps",
+                 "orbits", "selfmap")
+
+    def __init__(self, group: FinSubgroupH, lambda_poly: HPoly2,
+                 nums: tuple[HPoly2, HPoly2, HPoly2], den: HPoly2,
+                 orbit_dens: list[HPoly2], reps: list[tuple[Moebius, Rep3]],
+                 orbits: list[OrbitData], selfmap: P1SelfMap):
+        self.group = group
+        self.lambda_poly = lambda_poly
+        self.nums = nums
+        self.den = den
+        self.orbit_dens = orbit_dens
+        self.reps = reps
+        self.orbits = orbits
+        self.selfmap = selfmap
 
 
 def _graph_forms(f1: HPoly2, f2: HPoly2) -> tuple[HPoly2, HPoly2, HPoly2, HPoly2]:
@@ -300,16 +305,25 @@ def closed_form_pair(kind: str, n: int | None, a, b):
     raise DegenerateParamsError(f"no closed form for kind {kind!r}")
 
 
-@dataclass
 class PresetFamily:
-    kind: str
-    n: int | None
-    params: list[tuple[CycNum, CycNum]]
-    h: FinSubgroupH
-    g: FinSubgroupG
-    orbits: list[OrbitData]
-    embedding: EmbeddingA3
-    certificate: Certificate
+    """A closed-form family: its group and lift, orbit data, embedding and
+    the certificate of its defining identities."""
+
+    __slots__ = ("kind", "n", "params", "h", "g", "orbits", "embedding",
+                 "certificate")
+
+    def __init__(self, kind: str, n: int | None,
+                 params: list[tuple[CycNum, CycNum]], h: FinSubgroupH,
+                 g: FinSubgroupG, orbits: list[OrbitData],
+                 embedding: EmbeddingA3, certificate: Certificate):
+        self.kind = kind
+        self.n = n
+        self.params = params
+        self.h = h
+        self.g = g
+        self.orbits = orbits
+        self.embedding = embedding
+        self.certificate = certificate
 
 
 def preset_family(kind: str, n: int | None, params,

@@ -22,7 +22,6 @@ return certificates rather than trusting the construction.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -52,17 +51,17 @@ _C0 = CycNum(0)
 _C1 = CycNum(1)
 
 
-@dataclass(frozen=True)
 class EndoPair:
     """Endomorphism (x, y) -> (f1, f2) of the plane, both forms of one degree."""
 
-    f1: HPoly2
-    f2: HPoly2
+    __slots__ = ("f1", "f2")
 
-    def __post_init__(self):
-        if self.f1 and self.f2 and self.f1.degree != self.f2.degree:
+    def __init__(self, f1: HPoly2, f2: HPoly2):
+        if f1 and f2 and f1.degree != f2.degree:
             raise DegreeAlignmentError(
-                f"component degrees differ: {self.f1.degree} vs {self.f2.degree}")
+                f"component degrees differ: {f1.degree} vs {f2.degree}")
+        self.f1 = f1
+        self.f2 = f2
 
     @property
     def degree(self) -> int:
@@ -73,6 +72,8 @@ class EndoPair:
 
     def __eq__(self, other):
         return self.f1 == other.f1 and self.f2 == other.f2
+
+    __hash__ = None
 
 
 def contract(pair: EndoPair) -> HPoly2:
@@ -214,7 +215,6 @@ def reynolds_average(pair: EndoPair, G: FinSubgroupG) -> EndoPair:
                     hp.f2 + q * HPoly2.term(1, 0, 1))
 
 
-@dataclass
 class OrbitData:
     """One orbit's construction data.
 
@@ -222,21 +222,28 @@ class OrbitData:
     only (roots need not split over a cyclotomic field).
     """
 
-    points: list[P1Point]
-    p: HPoly2                # squarefree orbit polynomial
-    d: int                   # invariant power
-    P: HPoly2                # p^d, fixed by G
-    pair: EndoPair           # G-fixed, contract(pair) = P
+    __slots__ = ("points", "p", "d", "P", "pair")
+
+    def __init__(self, points: list[P1Point], p: HPoly2, d: int, P: HPoly2,
+                 pair: EndoPair):
+        self.points = points
+        self.p = p          # squarefree orbit polynomial
+        self.d = d          # invariant power
+        self.P = P          # p^d, fixed by G
+        self.pair = pair    # G-fixed, contract(pair) = P
 
 
-@dataclass
 class P1SelfMap:
     """Self-map [x:y] -> [g1 : g2] plus its coprime reduced pair."""
 
-    g1: HPoly2
-    g2: HPoly2
-    reduced1: HPoly2
-    reduced2: HPoly2
+    __slots__ = ("g1", "g2", "reduced1", "reduced2")
+
+    def __init__(self, g1: HPoly2, g2: HPoly2, reduced1: HPoly2,
+                 reduced2: HPoly2):
+        self.g1 = g1
+        self.g2 = g2
+        self.reduced1 = reduced1
+        self.reduced2 = reduced2
 
     @staticmethod
     def from_pair(g1: HPoly2, g2: HPoly2) -> "P1SelfMap":

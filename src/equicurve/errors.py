@@ -38,7 +38,7 @@ class NotFiniteWithinCapError(ConstructionError):
 
 
 class TooFewPointsError(ConstructionError):
-    """Automorphism search needs at least three points."""
+    """Automorphism search needs at least three distinct points."""
 
 
 class NotInvariantError(ConstructionError):

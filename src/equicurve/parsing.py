@@ -18,6 +18,10 @@ from .poly import MPoly, UPoly, URatFun, HPoly2, POLY3_VARS
 # the largest product of the exponents applied to any subexpression, through
 # ``^`` chains and parenthesized nesting; checked before any power
 MAX_EXPONENT = 64
+# the deepest parenthesis nesting; the recursive-descent parser spends four
+# Python frames per level, so this keeps it far inside the interpreter's
+# default recursion limit of 1000
+MAX_NESTING = 100
 # the largest number of terms a product or power of multivariate
 # polynomials may have; its upper bound is checked before it is computed
 MAX_TERMS = 2048
@@ -61,18 +65,22 @@ def _tokenize(text: str):
     return toks
 
 
-def _check_exponents(toks) -> None:
-    """Bound the product of the exponents applied to any subexpression.
+def _check_bounds(toks) -> None:
+    """Bound the parenthesis nesting and the product of the exponents
+    applied to any subexpression.
 
     ``a^e1^e2`` is ``(a^e1)^e2`` and ``(... a^e1 ...)^e2`` contains
     ``a^(e1*e2)``, so chained and nested exponents multiply.  The check runs
-    on the tokens, before any power is computed; malformed input is left to
-    the parser.
+    on the tokens, before any parsing; malformed input is left to the
+    parser.
     """
     groups = [1]   # per open parenthesis: the largest product inside so far
     last = 1       # product applied to the operand that ends here
     for k, t in enumerate(toks):
         if t.kind == "(":
+            if len(groups) > MAX_NESTING:
+                raise ParseError(f"parentheses at position {t.pos} nest "
+                                 f"deeper than {MAX_NESTING}")
             groups.append(1)
         elif t.kind == ")" and len(groups) > 1:
             last = groups.pop()
@@ -114,7 +122,7 @@ class _Parser:
     def __init__(self, text: str, env: dict, const, divide):
         self.text = text
         self.toks = _tokenize(text)
-        _check_exponents(self.toks)
+        _check_bounds(self.toks)
         self.i = 0
         self.env = env
         self.const = const

@@ -9,8 +9,6 @@ linear algebra and re-verified independently of the solver.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .certificates import Certificate
 from .cyclotomic import CycNum, as_cyc
 from .errors import (
@@ -51,7 +49,6 @@ MAX_SUBSTITUTION_WORK = 2 ** 18
 MAX_WITNESS_DEGREE = 24
 
 
-@dataclass
 class Aut3:
     """Automorphism of A^3 with an explicit two-sided inverse witness.
 
@@ -60,16 +57,18 @@ class Aut3:
     been checked both ways, once, when it was built.
     """
 
-    forward: tuple[MPoly, MPoly, MPoly]
-    inverse: tuple[MPoly, MPoly, MPoly]
-    label: str = ""
+    __slots__ = ("forward", "inverse", "label")
 
-    def __post_init__(self):
+    def __init__(self, forward: tuple[MPoly, MPoly, MPoly],
+                 inverse: tuple[MPoly, MPoly, MPoly], label: str = ""):
         ident = poly3_identity()
-        if not (poly3_compose(self.forward, self.inverse) == ident and
-                poly3_compose(self.inverse, self.forward) == ident):
+        if not (poly3_compose(forward, inverse) == ident and
+                poly3_compose(inverse, forward) == ident):
             raise DegenerateParamsError(
-                f"forward and inverse are not mutually inverse ({self.label})")
+                f"forward and inverse are not mutually inverse ({label})")
+        self.forward = forward
+        self.inverse = inverse
+        self.label = label
 
     def apply(self, triple):
         return poly3_compose(self.forward, triple)
@@ -96,7 +95,6 @@ def compose_chain(chain: list[Aut3]) -> Aut3:
     return _compose([(s.forward, s.inverse, s.label) for s in chain])
 
 
-@dataclass
 class PlanarEmbedding:
     """x -> (0, Q(x), R(x)) on the curve A^1 minus the roots of P.
 
@@ -105,21 +103,22 @@ class PlanarEmbedding:
     failure there raises WitnessNotFoundError.
     """
 
-    P: UPoly
-    Q: URatFun
-    R: URatFun
+    __slots__ = ("P", "Q", "R")
 
-    def __post_init__(self):
-        if self.P.is_zero():
+    def __init__(self, P: UPoly, Q: URatFun, R: URatFun):
+        if P.is_zero():
             raise ZeroPolynomialError("P must be nonzero")
-        if self.P.squarefree_part().degree != self.P.monic().degree:
-            raise DegenerateParamsError(f"P = {self.P} is not squarefree")
-        for name, f in (("Q", self.Q), ("R", self.R)):
+        if P.squarefree_part().degree != P.monic().degree:
+            raise DegenerateParamsError(f"P = {P} is not squarefree")
+        for name, f in (("Q", Q), ("R", R)):
             if f.den.degree > 0:
                 sf = f.den.squarefree_part()
-                if not (self.P % sf).is_zero():
+                if not (P % sf).is_zero():
                     raise DegenerateParamsError(
                         f"{name} has a pole away from the removed points")
+        self.P = P
+        self.Q = Q
+        self.R = R
 
     def triple(self):
         return (URatFun.const(0), self.Q, self.R)

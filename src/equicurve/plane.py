@@ -14,8 +14,6 @@ g, the decision runs on the number of g-fixed points left on the curve:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .certificates import Certificate
 from .cyclotomic import CycNum, as_cyc, root_of_unity
 from .errors import (
@@ -39,59 +37,72 @@ from .projline import (
 _INFINITE = "infinite"
 
 
-@dataclass
 class CurveAut:
-    """An automorphism of P^1 minus a point set: g with g(points) = points."""
+    """An automorphism of P^1 minus a point set: g with g(points) = points.
 
-    points: list[P1Point]
-    g: Moebius
-    order: int | str = field(init=False)
-    fixed_form: HPoly2 = field(init=False)
-    fixed_on_curve: int = field(init=False)
-    fixed_in_lambda: int = field(init=False)
+    Construction sorts and dedupes the points, checks that g preserves them,
+    and records the order of g and where its fixed points lie.
+    """
 
-    def __post_init__(self):
-        self.points = sort_points(dedupe_points(self.points))
-        if not self.points:
+    __slots__ = ("points", "g", "order", "fixed_form", "fixed_on_curve",
+                 "fixed_in_lambda")
+
+    def __init__(self, points: list[P1Point], g: Moebius):
+        points = sort_points(dedupe_points(points))
+        if not points:
             raise DegenerateParamsError("the removed set must be nonempty")
-        removed = set(self.points)
-        for p in self.points:
-            q = self.g.apply(p)
+        removed = set(points)
+        for p in points:
+            q = g.apply(p)
             if q not in removed:
                 raise NotInvariantError(f"g sends {p} outside the set: {q}")
-        self.fixed_form = fixed_point_form(self.g)
-        if self.g.is_identity():
+        self.points = points
+        self.g = g
+        self.fixed_form = fixed_form = fixed_point_form(g)
+        if g.is_identity():
             self.order = 1
             self.fixed_on_curve = 0
             self.fixed_in_lambda = 0
             return
-        sf = self.fixed_form.squarefree_decomp()[0]
-        in_lam = sum(1 for p in self.points
-                     if not self.fixed_form.eval(p.a, p.b))
+        sf = fixed_form.squarefree_decomp()[0]
+        in_lam = sum(1 for p in points if not fixed_form.eval(p.a, p.b))
         self.fixed_in_lambda = in_lam
         self.fixed_on_curve = sf.degree - in_lam
-        o = self.g.order()
+        o = g.order()
         self.order = o if o is not None else _INFINITE
 
 
-@dataclass
 class Extendable:
-    embedding: tuple[URatFun, URatFun]
-    extension_desc: str
-    certificate: Certificate
-    data: dict
+    """Verdict: an embedding of the curve in the plane to which g extends."""
+
+    __slots__ = ("embedding", "extension_desc", "certificate", "data")
+
+    def __init__(self, embedding: tuple[URatFun, URatFun], extension_desc: str,
+                 certificate: Certificate, data: dict):
+        self.embedding = embedding
+        self.extension_desc = extension_desc
+        self.certificate = certificate
+        self.data = data
 
 
-@dataclass
 class Obstructed:
-    reason: str
-    fixed_form: HPoly2
-    order: int
+    """Verdict: no plane embedding extends g."""
+
+    __slots__ = ("reason", "fixed_form", "order")
+
+    def __init__(self, reason: str, fixed_form: HPoly2, order: int):
+        self.reason = reason
+        self.fixed_form = fixed_form
+        self.order = order
 
 
-@dataclass
 class OpenCase:
-    reason: str
+    """Verdict: neither a construction nor an obstruction is known."""
+
+    __slots__ = ("reason",)
+
+    def __init__(self, reason: str):
+        self.reason = reason
 
 
 def decide_extendability(c: CurveAut):

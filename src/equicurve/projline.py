@@ -9,7 +9,7 @@ icosahedral).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import permutations
 from math import lcm
 
@@ -211,10 +211,12 @@ class SL2Elem(_Mat2):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GroupKind:
-    name: str          # Cyclic | Dihedral | Tetrahedral | Octahedral | Icosahedral
-    n: int | None = None
+class GroupKind(namedtuple("GroupKind", "name n", defaults=(None,))):
+    """A kind of finite subgroup of PGL(2): ``name`` is one of Cyclic,
+    Dihedral, Tetrahedral, Octahedral and Icosahedral, ``n`` the rotation
+    order of the first two."""
+
+    __slots__ = ()
 
     def __str__(self):
         return f"{self.name}({self.n})" if self.n is not None else self.name
@@ -237,13 +239,16 @@ _EXCEPTIONAL_ORDERS = {
 }
 
 
-@dataclass
 class FinSubgroupH:
     """A finite subgroup of PGL(2), closed element list plus classification."""
 
-    elements: list[Moebius]
-    generators: list[Moebius]
-    kind: GroupKind
+    __slots__ = ("elements", "generators", "kind")
+
+    def __init__(self, elements: list[Moebius], generators: list[Moebius],
+                 kind: GroupKind):
+        self.elements = elements
+        self.generators = generators
+        self.kind = kind
 
     @property
     def order(self) -> int:
@@ -253,7 +258,6 @@ class FinSubgroupH:
         return f"{self.kind} of order {self.order}"
 
 
-@dataclass
 class FinSubgroupG:
     """Pullback of a FinSubgroupH under SL(2) -> PGL(2); order doubles.
 
@@ -263,9 +267,13 @@ class FinSubgroupG:
     ``elements[::2]``.
     """
 
-    elements: list[SL2Elem]
-    generators: list[SL2Elem]
-    h: FinSubgroupH
+    __slots__ = ("elements", "generators", "h")
+
+    def __init__(self, elements: list[SL2Elem], generators: list[SL2Elem],
+                 h: FinSubgroupH):
+        self.elements = elements
+        self.generators = generators
+        self.h = h
 
     @property
     def order(self) -> int:
@@ -358,7 +366,8 @@ def aut_of_lambda(points: list[P1Point], cap: int = 120) -> FinSubgroupH:
     """
     pts = sort_points(dedupe_points(points))
     if len(pts) < 3:
-        raise TooFewPointsError("automorphism search needs at least 3 points")
+        raise TooFewPointsError(
+            "automorphism search needs at least 3 distinct points")
     members = set(pts)
     base_m = _triple_matrix(*pts[:3])
     found: list[Moebius] = []

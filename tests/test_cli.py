@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -96,6 +100,10 @@ def test_construction_error_exit_3():
     code, text = run(["aut", "--lambda", "[0:1],[1:1]"])
     assert code == 3
     assert "construction error" in text
+    # a repeated point counts once
+    assert run(["aut", "--lambda", "[0:1],[0:1],[1:0]"]) == (
+        3, "construction error: automorphism search needs at least 3 "
+           "distinct points")
     # a value that parses but fails a precondition of the construction
     code, text = run(["preset", "--kind", "dihedral", "--n", "1",
                       "--pairs", "(0, 1)"])
@@ -213,6 +221,35 @@ def test_byte_identical_reports():
         assert out1 == out2
 
 
+# prints, after the import, a text report and a JSON report, which of the
+# modules a CLI process need not load are loaded
+_IMPORTS = """
+import sys
+import equicurve.cli
+def loaded():
+    print(*[m for m in ("dataclasses", "inspect", "json") if m in sys.modules])
+loaded()
+equicurve.cli.run(sys.argv[1:])
+loaded()
+equicurve.cli.run(sys.argv[1:] + ["--format", "json"])
+loaded()
+"""
+
+
+def test_cli_process_loads_json_only_for_a_json_report():
+    # every CLI job is a fresh process that pays for each module the package
+    # imports; -S leaves the imports of site out of the count
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _IMPORTS, "aut", "--lambda",
+         "[0:1],[1:1],[1:0]"],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["", "", "json"]
+
+
 def test_exit_statuses_documented():
     # 0 = pass, 1 = certificate failure, 2 = parse, 3 = construction
     assert run(["cor25", "--k", "1", "--a", "1"])[0] == 0
@@ -296,12 +333,14 @@ _EXTEND = ["verify-extension", "--F", "X; Y; Z", "--tau", "x; 1/(x^2 - x); 0",
      "T * D^2 <= 262144"),
     (_PLANAR + ["--cap", "200"],
      "parse error: witness degree cap 200 exceeds 24"),
+    (_PLANAR[:6] + ["(" * 250 + "x" + ")" * 250],
+     "parse error: parentheses at position 100 nest deeper than 100"),
 ], ids=["conductor-cap", "group-cap", "cap", "k", "n", "k-range", "n-range",
         "n-huge", "n-above-group-cap", "n-tetrahedral", "n-missing-cyclic",
         "n-missing-dihedral", "huge-exponent",
         "chained-exponent", "nested-exponent", "chained-constant-exponent",
         "many-terms-power", "many-terms-product", "substitution-degree",
-        "witness-degree-cap"])
+        "witness-degree-cap", "nesting-depth"])
 def test_bad_integer_flags_exit_2_with_one_line(argv, message, capsys):
     assert run(argv) == (2, message)
     assert main(argv) == 2
@@ -311,7 +350,7 @@ def test_bad_integer_flags_exit_2_with_one_line(argv, message, capsys):
 
 _PRIME = "100000000000000000039"
 _OVER_CAP = (f"construction error: conductor {_PRIME} needs a field degree "
-             f"above cap 256; raise it with set_conductor_cap()")
+             f"above cap 256; raise it with --conductor-cap")
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -48,12 +48,29 @@ def test_reports_identical_under_python_optimize():
         assert _run_with_seed(job, 0, "-O") == _run_with_seed(job, 0), job
 
 
+def _library_nodes():
+    """(file name, node) for every syntax node of the library source."""
+    src = Path(__file__).resolve().parents[1] / "src" / "equicurve"
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            yield path.name, node
+
+
 def test_library_has_no_assert_statements():
     # python -O strips asserts silently, so the library raises instead
-    src = Path(__file__).resolve().parents[1] / "src" / "equicurve"
-    found = [f"{path.name}:{node.lineno}" for path in sorted(src.glob("*.py"))
-             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+    found = [f"{name}:{node.lineno}" for name, node in _library_nodes()
              if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_library_does_not_import_dataclasses():
+    # dataclasses loads inspect, ast and dis and generates methods through
+    # exec() at import, which every CLI process would pay for
+    found = [f"{name}:{node.lineno}" for name, node in _library_nodes()
+             if isinstance(node, ast.Import)
+             and any(a.name == "dataclasses" for a in node.names)
+             or isinstance(node, ast.ImportFrom)
+             and node.module == "dataclasses"]
     assert found == []
 
 

@@ -24,6 +24,7 @@ from equicurve.equivariant import (
 from equicurve.errors import (
     ConstantTermError,
     DegeneratePointsError,
+    DegreeAlignmentError,
     NotInvariantError,
     NotSemiInvariantError,
     PNotInvariantError,
@@ -74,6 +75,15 @@ def test_contract_examples():
     p = parse_hpoly("x^2 - y^2")
     preset = EndoPair(parse_hpoly("-y") * p, parse_hpoly("-x") * p)
     assert contract(preset) == p * p
+
+
+def test_endo_pair_checks_degrees_and_compares_componentwise():
+    with pytest.raises(DegreeAlignmentError):
+        pair("x", "y^2")
+    # a zero component takes the degree of the other
+    assert pair("x", "0").degree == pair("0", "y").degree == 1
+    assert pair("x", "y") == pair("x", "y")
+    assert pair("x", "y") != pair("y", "x")
 
 
 def test_action_examples():

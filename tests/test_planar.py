@@ -8,6 +8,7 @@ from equicurve.errors import (
     DegenerateParamsError,
     InputBoundError,
     WitnessNotFoundError,
+    ZeroPolynomialError,
 )
 from equicurve.parsing import (
     parse_poly3,
@@ -111,6 +112,17 @@ def test_every_chain_step_has_two_sided_inverse():
     for step in chain:
         assert tuple(f.substitute(step.inverse) for f in step.forward) == ident
         assert tuple(f.substitute(step.forward) for f in step.inverse) == ident
+
+
+@pytest.mark.parametrize("P, Q, R, error, match", [
+    ("0", "x", "x", ZeroPolynomialError, "P must be nonzero"),
+    ("x^2", "1/x", "x", DegenerateParamsError, "is not squarefree"),
+    ("x", "x", "1/(x - 1)", DegenerateParamsError,
+     "R has a pole away from the removed points"),
+])
+def test_planar_embedding_checks_its_data(P, Q, R, error, match):
+    with pytest.raises(error, match=match):
+        PlanarEmbedding(parse_upoly(P), parse_ratfun(Q), parse_ratfun(R))
 
 
 def test_aut3_rejects_wrong_inverse():

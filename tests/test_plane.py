@@ -209,5 +209,7 @@ def test_curve_aut_order_of_rotations():
 def test_curve_aut_rejects_non_invariant_set():
     with pytest.raises(NotInvariantError):
         CurveAut([pt(2), pt(-2), pt(3)], Moebius(-1, 0, 0, 1))
+    with pytest.raises(DegenerateParamsError, match="must be nonempty"):
+        CurveAut([], Moebius(-1, 0, 0, 1))
     fam = cube_symmetric_family(1, [1])
     assert not verify_cube_symmetry(fam[:2]).ok

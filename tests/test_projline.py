@@ -120,6 +120,16 @@ def test_standard_group_has_the_order_of_its_kind(kind, n):
     assert classify_group(h.elements) == expected
 
 
+def test_group_kind_is_a_hashable_value():
+    assert GroupKind("Dihedral", 3) == GroupKind("Dihedral", 3)
+    assert GroupKind("Dihedral", 3) != GroupKind("Cyclic", 3)
+    kinds = {GroupKind("Dihedral", 3), GroupKind("Dihedral", 3),
+             GroupKind("Tetrahedral")}
+    assert kinds == {GroupKind("Dihedral", 3), GroupKind("Tetrahedral", None)}
+    assert str(GroupKind("Tetrahedral")) == "Tetrahedral"
+    assert str(GroupKind("Dihedral", 3)) == "Dihedral(3)"
+
+
 def test_aut_of_lambda_examples():
     h = aut_of_lambda([P1Point(0, 1), pt(1), INF])
     assert h.order == 6
