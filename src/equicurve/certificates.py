@@ -12,23 +12,35 @@ class Clause(namedtuple("Clause", "claim ok witness", defaults=("",))):
 
 
 class Certificate:
-    """A titled list of clauses; it passes when every clause does."""
+    """A titled list of clauses; it passes when every clause does.
 
-    __slots__ = ("title", "clauses")
+    The clauses are kept as three columns, claims, statuses and witnesses,
+    since callers keep certificates: one tuple per clause took twice the
+    memory.  ``clauses`` builds the list of :class:`Clause` values.
+    """
 
-    def __init__(self, title: str, clauses: list[Clause] | None = None):
+    __slots__ = ("title", "claims", "oks", "witnesses")
+
+    def __init__(self, title: str):
         self.title = title
-        self.clauses = [] if clauses is None else clauses
+        self.claims, self.oks, self.witnesses = [], [], []
 
     def check(self, claim: str, ok: bool, witness: str = "") -> bool:
         # claims and witnesses repeat across certificates; interning shares
         # their text
-        self.clauses.append(Clause(intern(claim), bool(ok), intern(witness)))
-        return bool(ok)
+        ok = bool(ok)
+        self.claims.append(intern(claim))
+        self.oks.append(ok)
+        self.witnesses.append(intern(witness))
+        return ok
+
+    @property
+    def clauses(self) -> list[Clause]:
+        return list(map(Clause, self.claims, self.oks, self.witnesses))
 
     @property
     def ok(self) -> bool:
-        return all(c.ok for c in self.clauses)
+        return all(self.oks)
 
     def to_json(self) -> dict:
         return {
@@ -43,6 +55,9 @@ class Certificate:
 
 
 def merge(title: str, certs: list[Certificate]) -> Certificate:
-    return Certificate(title, [
-        Clause(intern(f"{c.title}: {cl.claim}"), cl.ok, cl.witness)
-        for c in certs for cl in c.clauses])
+    out = Certificate(title)
+    out.claims = [intern(f"{c.title}: {claim}") for c in certs
+                  for claim in c.claims]
+    out.oks = [ok for c in certs for ok in c.oks]
+    out.witnesses = [w for c in certs for w in c.witnesses]
+    return out

@@ -8,8 +8,10 @@ conductor, so same-conductor equality is a tuple comparison.  Arithmetic,
 inversion and subfield descent are integer-only; ``Fraction`` appears only
 where values enter or leave (construction, ``as_fraction``, ``key_under``,
 printing).  Values of Q (conductor 1) are computed as one numerator over one
-denominator with one gcd: the degree-1 case beside the closed form used for
-the degree-2 fields (phi(m) = 2).
+denominator with at most one gcd: the degree-1 case beside the closed form
+used for the degree-2 fields (phi(m) = 2).  The same integers carry
+polynomials: vectors of numerators, phi(m) per coefficient, are lifted
+between fields, multiplied and reduced mod Phi_m here for :mod:`poly`.
 
 Conductors are kept normalized: m = 2 mod 4 never occurs, since
 Q(zeta_2k) = Q(zeta_k) for odd k.  Mixed-conductor arithmetic unifies into
@@ -20,6 +22,8 @@ use it, so equal values hash equal and print alike across conductors.
 """
 from __future__ import annotations
 
+import sys
+from array import array
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, lcm
@@ -187,6 +191,8 @@ def _lift(nums, m: int, big: int) -> tuple[int, ...]:
 def _mul_nums(m: int, a, b) -> list[int]:
     """Product of two numerator vectors of Q(zeta_m), reduced mod Phi_m."""
     phi = len(a)
+    if phi == 1:
+        return [a[0] * b[0]]
     if phi == 2:
         # Phi_m = x^2 + p x + q
         q, p, _ = cyclotomic_polynomial(m)
@@ -198,6 +204,129 @@ def _mul_nums(m: int, a, b) -> list[int]:
             for k, bj in enumerate(b, i):
                 raw[k] += ai * bj
     return _lincomb(raw[phi:], _power_rows(m, 1, phi - 1, phi), raw[:phi])
+
+
+# ---------------------------------------------------------------------------
+# Vectors of numerators: a polynomial over Q(zeta_m) as w numerators per
+# coefficient, w = 1 (rational coefficients) or phi(m), lowest degree first.
+# A product of vectors with wa and wb per coefficient has wa + wb - 1 (a
+# slot) per coefficient before it is reduced mod Phi_m.
+
+_ORDER = sys.byteorder
+# array typecodes by item size, for digits of 1, 2, 4 and 8 bytes
+_WORDS = {array(code).itemsize: code for code in "BHIQ"}
+# A product with at most this many pairs of nonzero numerators runs by
+# schoolbook, a larger one by one packed product: the packed product was
+# faster from about 150 to 700 pairs, by shape, for 1 to 60 coefficients
+# over Q, Q(i), Q(zeta_12) and Q(zeta_61)
+_PAIRS = 256
+
+
+def _widen(nums, mp: int, m: int):
+    """A vector over Q(zeta_mp), phi(mp) per coefficient, rewritten over
+    Q(zeta_m), m a multiple of mp."""
+    if mp == m:
+        return nums
+    phi_p, phi = euler_phi(mp), euler_phi(m)
+    out = [0] * (len(nums) // phi_p * phi)
+    for j, row in enumerate(_power_rows(m, m // mp, phi_p)):
+        col = nums[j::phi_p]
+        for k, v in row:
+            out[k::phi] = [x + v * y for x, y in zip(out[k::phi], col)]
+    return out
+
+
+def _reduce(raw: list, slot: int, m: int) -> list:
+    """A vector with slot numerators per coefficient, for the powers of
+    zeta below slot, reduced mod Phi_m to phi(m) per coefficient: one
+    column of all coefficients at a time, by the cached power rows."""
+    phi = euler_phi(m)
+    if slot == phi:
+        return raw
+    cols = [raw[j::slot] for j in range(phi)]
+    for i, row in enumerate(_power_rows(m, 1, slot - phi, phi)):
+        high = raw[phi + i::slot]
+        if any(high):
+            for j, v in row:
+                cols[j] = [x + v * h for x, h in zip(cols[j], high)]
+    out = [0] * (len(raw) // slot * phi)
+    for j, col in enumerate(cols):
+        out[j::phi] = col
+    return out
+
+
+def _width(bound: int) -> int:
+    # bytes per digit for signed digits up to bound in absolute value, with
+    # a spare bit for the sign: 1, 2, 4 or 8 where an array type serves
+    width = bound.bit_length() // 8 + 1
+    return 1 << (width - 1).bit_length() if width <= 8 else width
+
+
+def _offset(width: int, count: int) -> int:
+    # the bias: the integer whose count digits are each half their range
+    return int.from_bytes((1 << 8 * width - 1).to_bytes(width, _ORDER) * count,
+                          _ORDER)
+
+
+def _pack(digits, width: int) -> int:
+    """The integer with the signed digits (least significant first) in base
+    2^(8 width), each below half of it in absolute value."""
+    half = 1 << 8 * width - 1
+    biased, code = [v + half for v in digits], _WORDS.get(width)
+    data = array(code, biased).tobytes() if code else \
+        b"".join([v.to_bytes(width, _ORDER) for v in biased])
+    return int.from_bytes(data, _ORDER) - _offset(width, len(digits))
+
+
+def _unpack(n: int, width: int, count: int) -> list:
+    """The count signed digits of n, as :func:`_pack` packs them."""
+    data = (n + _offset(width, count)).to_bytes(count * width, _ORDER)
+    code, half = _WORDS.get(width), 1 << 8 * width - 1
+    digits = array(code, data).tolist() if code else \
+        [int.from_bytes(data[o:o + width], _ORDER)
+         for o in range(0, len(data), width)]
+    return [v - half for v in digits]
+
+
+def _kron_mul(fa, wa: int, fb, wb: int) -> list:
+    """The unreduced product of the vectors fa and fb by one bigint product
+    (Kronecker substitution): each coefficient gets a slot, each digit the
+    width of the exact bound on a digit of the product."""
+    slot = wa + wb - 1
+    na, nb = len(fa) // wa, len(fb) // wb
+    top_a, top_b = max(max(fa), -min(fa)), max(max(fb), -min(fb))
+    width = _width(max(min(na, nb) * min(wa, wb) * top_a * top_b, top_a, top_b))
+
+    def spread(digits, w):   # each coefficient padded to its slot
+        if w == slot:
+            return digits
+        out = [0] * (len(digits) // w * slot)
+        for s in range(w):
+            out[s::slot] = digits[s::w]
+        return out
+
+    return _unpack(_pack(spread(fa, wa), width) * _pack(spread(fb, wb), width),
+                   width, (na + nb - 1) * slot)
+
+
+def _mul_rows(fa, wa: int, fb, wb: int, m: int) -> list:
+    """The product over Q(zeta_m) of the vectors fa and fb, phi(m)
+    numerators per coefficient (one if wa = wb = 1): by schoolbook, one
+    product per pair of nonzero digits, up to _PAIRS pairs, else packed."""
+    za, zb = len(fa) - fa.count(0), len(fb) - fb.count(0)
+    if za * zb > _PAIRS:
+        return _reduce(_kron_mul(fa, wa, fb, wb), wa + wb - 1, m)
+    if za < zb:
+        fa, wa, fb, wb = fb, wb, fa, wa
+    slot = wa + wb - 1
+    raw = [0] * ((len(fa) // wa + len(fb) // wb - 1) * slot)
+    pa = [(q // wa * slot + q % wa, x) for q, x in enumerate(fa) if x]
+    for q, y in enumerate(fb):
+        if y:
+            base = q // wb * slot + q % wb
+            for p, x in pa:
+                raw[base + p] += x * y
+    return _reduce(raw, slot, m)
 
 
 def _normal(m: int, nums, den: int) -> "CycNum":
@@ -330,6 +459,8 @@ class CycNum:
         return o - self
 
     def __neg__(self):
+        if self.m == 1:   # the shared small integers stay shared
+            return _rational(-self.nums[0], self.den)
         return _make(self.m, tuple(-x for x in self.nums), self.den)
 
     def __mul__(self, other):
@@ -364,7 +495,9 @@ class CycNum:
         if not any(nums):
             raise ZeroDivisionError("inverse of zero")
         if not any(nums[1:]):
-            return _quotient(den, nums[0])
+            # gcd(nums[0], den) = 1 already, so only the sign moves
+            n = nums[0]
+            return _rational(den, n) if n > 0 else _rational(-den, -n)
         if len(nums) == 2:
             # degree-2 field: conjugate over Phi = x^2 + p x + q
             q, p, _ = cyclotomic_polynomial(m)

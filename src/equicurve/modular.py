@@ -16,17 +16,16 @@ coefficients are nonzero at the root.  Then the image of the gcd over
 Q(zeta_m) divides the gcd of the images with the same degree (Gauss's
 lemma at the prime), so a good image of degree 0 proves the operands
 coprime.  Any other answer is only a candidate, accepted after exact
-products (:func:`_from_images`).  Every pair of nonconstant operands takes
-this path; a zero or constant operand is answered directly
-(:func:`cofactors`).
+products.  Every pair of nonconstant operands takes this path; a zero or
+constant operand is answered directly.
 """
 from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd as igcd, isqrt, lcm
 
-from .cyclotomic import _check_cap, _prime_factors, euler_phi
-from .poly import UPoly, _U1, _kron_mul, _numerators, _scan, _upoly, _values
+from .cyclotomic import _check_cap, _prime_factors, _widen, euler_phi
+from .poly import UPoly, _U1, _poly
 
 # primes below 2^30, so that every residue is a one-digit Python int
 _TOP = 1 << 30
@@ -170,40 +169,35 @@ def _reconstruct(residues, mod: int, bound: int) -> tuple[list, int] | None:
 def cofactors(a, b):
     """(g, a/g, b/g) for the UPolys a and b, g the monic gcd: one if a or b
     is a nonzero constant, the other operand made monic if one is zero (zero
-    if both are), else by :func:`_from_images`."""
-    if len(a.c) == 1 or len(b.c) == 1:
-        return _U1, a, b
-    if not a.c:
-        return (b.monic(), a, UPoly.const(b.lead())) if b.c else (a, a, a)
-    if not b.c:
-        return a.monic(), UPoly.const(a.lead()), b
-    return _from_images(a, b)
-
-
-def _from_images(a, b):
-    """(g, a/g, b/g) for the nonzero UPolys a and b, g the monic gcd.  Their
-    joint field must be within the conductor cap, else ConductorCapError.
+    if both are), else from images.  Their joint field must be within the
+    conductor cap, else ConductorCapError.
 
     Coprime as soon as one good image is.  Otherwise each good prime whose
     images at all roots have the least degree so far adds its images to the
     CRT, and a candidate reconstructed from them is returned only if
-    g * (a/g) = a and g * (b/g) = b hold exactly in the packed product
-    kernel; then its degree, the least of a good image, is at least that of
-    the gcd, so g is the gcd.  A candidate that fails, or none yet, adds a
-    prime: only finitely many primes are unlucky, and the CRT modulus
-    outgrows the coefficients of g, a/g and b/g.
+    g * (a/g) = a and g * (b/g) = b hold exactly; then its degree, the least
+    of a good image, is at least that of the gcd, so g is the gcd.  A
+    candidate that fails, or none yet, adds a prime: only finitely many
+    primes are unlucky, and the CRT modulus outgrows the coefficients of g,
+    a/g and b/g.
     """
-    (ma, da), (mb, db) = _scan(a.c), _scan(b.c)
-    m = lcm(ma, mb)
+    if a.degree == 0 or b.degree == 0:
+        return _U1, a, b
+    if not a.nums:
+        return (b.monic(), a, UPoly.const(b.lead())) if b.nums else (a, a, a)
+    if not b.nums:
+        return a.monic(), UPoly.const(a.lead()), b
+    m = lcm(a.m, b.m)
     _check_cap(m)
-    ra, rb = _numerators(a.c, m, da, m == 1), _numerators(b.c, m, db, m == 1)
+    ra, rb = _widen(a.nums, a.m, m), _widen(b.nums, b.m, m)
+    da, db = a.den, b.den
     phi = euler_phi(m)
     least, mod, acc = len(ra) + len(rb), 1, None
     for p, vdm in primes(m):
         if da % p == 0 or db % p == 0:
             continue
         # the numerators mod p, one list per power of zeta
-        cols = [[[v % p for v in col] for col in zip(*rows)]
+        cols = [[[v % p for v in rows[j::phi]] for j in range(phi)]
                 for rows in (ra, rb)]
         images = []
         for powers in vdm:
@@ -238,17 +232,13 @@ def _from_images(a, b):
                 rec = _reconstruct(acc[start:start + size], mod, bound)
                 if rec is None:
                     break
-                nums, den = rec
-                found.append(([tuple(nums[i:i + phi]) for i in range(0, size, phi)],
-                              den))
+                found.append(rec)
                 start += size
             else:
                 (g, dg), (ca, dca), (cb, dcb) = found
-                if all(_kron_mul(g, c, m) == [tuple(v * dg * dc for v in row)
-                                              for row in r]
-                       for r, c, dc in ((ra, ca, dca), (rb, cb, dcb))):
-                    return (_upoly(_values(g, m, dg)),
-                            _upoly(_values(ca, m, dca * da)),
-                            _upoly(_values(cb, m, dcb * db)))
+                g = _poly(m, g, dg)
+                ca, cb = _poly(m, ca, dca * da), _poly(m, cb, dcb * db)
+                if g * ca == a and g * cb == b:
+                    return g, ca, cb
     raise ArithmeticError(f"the primes p = 1 (mod {m}) below 2^30 ran out "
                           "before a gcd was certified")

@@ -156,10 +156,10 @@ def subalgebra_witness(target: URatFun, gens: tuple[URatFun, URatFun],
         rhs_poly = target.num * q2_p[d] * r2_p[d]
         nrows = max(max((c.degree for c in cols), default=-1),
                     rhs_poly.degree) + 1
-        rows = [[(col.c[k] if k <= col.degree else _C0) for col in cols]
-                for k in range(nrows)]
-        rhs = [rhs_poly.c[k] if k <= rhs_poly.degree else _C0
-               for k in range(nrows)]
+        # each coefficient view is built once, padded to nrows
+        cs = [f.c + (_C0,) * (nrows - 1 - f.degree) for f in cols]
+        rows = [list(row) for row in zip(*cs)]
+        rhs = list(rhs_poly.c + (_C0,) * (nrows - 1 - rhs_poly.degree))
         sol = solve_linear(rows, rhs)
         if sol is None:
             continue

@@ -288,16 +288,69 @@ def upoly_mul_loop(a: UPoly, b: UPoly) -> UPoly:
     product and one sum per pair of nonzero coefficients, each in the field
     of its pair.  The stored conductors may differ from the kernel's; the
     values, and so the printed forms, may not."""
-    a, b = a.c, b.c
+    return UPoly(tuple_product(a.c, b.c))
+
+
+# -- polynomials as plain tuples of CycNum coefficients, ascending -------------
+# The reference for the integer numerators of UPoly and HPoly2: every
+# operation one CycNum operation at a time, each in the field of its
+# operands, the result without trailing zeros.
+
+def _trimmed(cs) -> tuple:
+    cs = list(cs)
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
+def tuple_sum(a: tuple, b: tuple, sign: int = 1) -> tuple:
+    zero = CycNum(0)
+    return _trimmed((a[i] if i < len(a) else zero)
+                    + sign * (b[i] if i < len(b) else zero)
+                    for i in range(max(len(a), len(b))))
+
+
+def tuple_product(a: tuple, b: tuple) -> tuple:
     if not a or not b:
-        return UPoly()
+        return ()
     out = [CycNum(0)] * (len(a) + len(b) - 1)
     nz = [(j, bj) for j, bj in enumerate(b) if bj]
     for i, ai in enumerate(a):
         if ai:
             for j, bj in nz:
                 out[i + j] = out[i + j] + ai * bj
-    return UPoly(out)
+    return _trimmed(out)
+
+
+def tuple_scale(a: tuple, s) -> tuple:
+    return _trimmed(v * s for v in a)
+
+
+def tuple_derivative(a: tuple) -> tuple:
+    return _trimmed(a[i] * i for i in range(1, len(a)))
+
+
+def tuple_eval(a: tuple, v) -> CycNum:
+    out = CycNum(0)
+    for coeff in reversed(a):
+        out = out * v + coeff
+    return out
+
+
+def tuple_substitute(cs: tuple, d: int, mat) -> tuple:
+    """The dehomogenized image of the form sum_i cs[i] x^i y^(d-i) under
+    (x, y) <- (m11 x + m12 y, m21 x + m22 y): sum_i cs[i] A^i B^(d-i) with
+    A = m11 x + m12 and B = m21 x + m22, every power by repeated products."""
+    m11, m12, m21, m22 = (CycNum(v) for v in mat)
+    out = ()
+    for i, c in enumerate(cs):
+        term = (c,)
+        for _ in range(i):
+            term = tuple_product(term, (m12, m11))
+        for _ in range(d - i):
+            term = tuple_product(term, (m22, m21))
+        out = tuple_sum(out, term)
+    return out
 
 
 def upoly_gcd_euclid(a: UPoly, b: UPoly) -> UPoly:

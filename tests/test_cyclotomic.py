@@ -364,3 +364,32 @@ def test_property_conductor_one_matches_fraction(p, q, k):
             mixed = op(y4, x)
             assert_normal(mixed)
             assert mixed == op(y, x)
+
+
+def test_negation_keeps_the_shared_small_integers():
+    # -0 and -(-1) are the shared 0 and 1, so they take the shortcuts of
+    # products and sums; the shared objects for every small integer
+    zero, one = CycNum(0), CycNum(1)
+    assert -zero is zero and -CycNum(-1) is one
+    for n in range(-64, 65):
+        assert -CycNum(n) is CycNum(-n)
+    big = -CycNum(Fraction(-2 ** 70, 3))
+    assert big.as_fraction() == Fraction(2 ** 70, 3)
+    assert_normal(big)
+    # away from conductor 1, the value at its conductor
+    x = -root_of_unity(4)
+    assert x.m == 4 and x.nums == (0, -1) and x * x == -1
+
+
+@PROPERTY
+@given(wide_fraction.filter(bool))
+@example(Fraction(-3, 7))
+@example(Fraction(-1, 5))
+@example(Fraction(-1))
+@example(Fraction(64, -1))
+def test_rational_inverse_moves_only_the_sign(q):
+    # the normal form of the inverse, sign on the numerator, without a gcd
+    got = CycNum(q).inverse()
+    assert_rational(got, 1 / q)
+    assert got.den > 0 and gcd(got.nums[0], got.den) == 1
+    assert CycNum(q).embedded(4).inverse() == got

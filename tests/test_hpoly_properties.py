@@ -4,11 +4,12 @@ substitution routine for single forms, lists of mixed degrees, and diagonal,
 antidiagonal and generic matrices, checked against a reference that expands
 the image of every monomial."""
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from equicurve import poly
+from equicurve import cyclotomic
 from equicurve.cyclotomic import (CycNum, euler_phi, root_of_unity,
                                   set_conductor_cap)
 from equicurve.errors import ConductorCapError, ZeroPolynomialError
@@ -282,18 +283,23 @@ def assert_agrees(got, want):
 @given(kernel_polys(), kernel_polys())
 def test_product_kernel_agrees_with_the_loop(a, b):
     want = upoly_mul_loop(a, b)
-    # the kernel at every size, and the product on either side of the cutoff
-    assert_agrees(UPoly(poly._product(a.c, b.c)), want)
+    # each kernel at every size, then the product on either side of the
+    # cutoff
+    for pairs in (-1, 10 ** 9):
+        with mock.patch.object(cyclotomic, "_PAIRS", pairs):
+            assert_agrees(a * b, want)
+            assert_agrees(b * a, want)
     assert_agrees(a * b, want)
 
 
 @settings(derandomize=True, max_examples=20, deadline=None)
 @given(st.data())
-def test_product_over_the_cap_stays_with_the_loop(data):
-    # a: a block over Q(zeta_5) and, past a gap, one over Q(zeta_7); b over
-    # Q(zeta_3), no longer than the gap.  Every coefficient of a * b then
-    # lies in Q(zeta_15) or Q(zeta_21), but the field of both operands,
-    # Q(zeta_105) of degree 48, is over a cap of 24
+def test_product_over_the_cap_is_a_stated_error(data):
+    # a: a block over Q(zeta_5) and, past a gap, one over Q(zeta_7), so it
+    # is stored over Q(zeta_35); b over Q(zeta_3), no longer than the gap.
+    # Every coefficient of a * b lies in Q(zeta_15) or Q(zeta_21), but the
+    # product is computed over the field of both operands, Q(zeta_105) of
+    # degree 48, which a cap of 24 refuses
     def block(m):
         cs = data.draw(st.lists(kernel_scalars((m,), nonzero=True),
                                 min_size=3, max_size=6))
@@ -303,7 +309,9 @@ def test_product_over_the_cap_stays_with_the_loop(data):
     a = UPoly(block(5) + [CycNum(0)] * gap + block(7))
     previous = set_conductor_cap(24)
     try:
-        assert poly._product(a.c, b.c) is None
-        assert_agrees(a * b, upoly_mul_loop(a, b))
+        for product in (lambda: a * b, lambda: b * a):
+            with pytest.raises(ConductorCapError, match="conductor 105 needs"):
+                product()
     finally:
         set_conductor_cap(previous)
+    assert_agrees(a * b, upoly_mul_loop(a, b))

@@ -76,10 +76,10 @@ def test_gcd_and_cofactors_agree_with_euclid(pair):
 @PROPERTY
 @given(planted())
 def test_every_reconstruction_agrees_with_euclid(pair):
-    # the images alone, on pairs of every size; a nonzero constant operand
-    # is coprime at the first good image
+    # the module function, on pairs of every size; a nonzero constant
+    # operand is answered without images
     a, b = pair
-    assert_euclid(a, b, modular._from_images(a, b))
+    assert_euclid(a, b, modular.cofactors(a, b))
 
 
 @pytest.mark.parametrize("m", FIELDS)
@@ -90,7 +90,7 @@ def test_reconstruction_over_each_field(m):
     p = x ** 4 + UPoly.const(Fraction(3, 4)) * x - UPoly.const(z)
     q = x ** 5 - UPoly.const(z + Fraction(1, 2)) * x ** 2 + UPoly.const(11)
     a, b = c * p, c * q
-    found = modular._from_images(a, b)
+    found = modular.cofactors(a, b)
     assert_euclid(a, b, found)
     assert found[0].degree == 3
 
@@ -123,7 +123,7 @@ def test_an_unlucky_prime_adds_a_prime():
     p = _first_prime()
     a, b = UPoly([-1, 1]), UPoly([-1 - p, 1])
     assert a.cofactors(b) == (UPoly.const(1), a, b)
-    assert modular._from_images(a, b) == (UPoly.const(1), a, b)
+    assert modular.cofactors(a, b) == (UPoly.const(1), a, b)
 
 
 def test_the_end_of_the_prime_stream_is_a_stated_error():
@@ -133,7 +133,7 @@ def test_the_end_of_the_prime_stream_is_a_stated_error():
     a, b = UPoly([-1, 1]), UPoly([-1 - first[0], 1])
     with mock.patch.object(modular, "primes", lambda m: iter([first])):
         with pytest.raises(ArithmeticError, match="ran out"):
-            modular._from_images(a, b)
+            modular.cofactors(a, b)
 
 
 @pytest.mark.parametrize("lead, den", [("p", 1), (1, "p")],
@@ -148,7 +148,7 @@ def test_a_prime_dividing_a_leading_coefficient_or_denominator_is_skipped(
     c = x * x - UPoly.const(Fraction(5, 3))
     a = c * (UPoly.const(lead) * x + UPoly.const(Fraction(1, den)))
     b = c * (x * x + UPoly.const(7))
-    assert_euclid(a, b, modular._from_images(a, b))
+    assert_euclid(a, b, modular.cofactors(a, b))
     assert_euclid(a, b, a.cofactors(b))
 
 
