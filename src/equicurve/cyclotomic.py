@@ -29,6 +29,7 @@ from functools import lru_cache
 from math import gcd, isqrt, lcm
 
 from .errors import ConductorCapError
+from .linalg import eliminate
 
 _conductor_cap = 256
 
@@ -656,24 +657,14 @@ def _descent_solver(m: int, m2: int):
     Q(zeta_m2) iff every sparse ``checks`` row annihilates them; the subfield
     numerators are then ``solve @ c`` over ``scale`` times the denominator.
 
-    Fraction-free Gauss-Jordan elimination of [E | I], the columns of E
-    embedding the power basis of Q(zeta_m2).
+    Elimination of [E | I], the columns of E embedding the power basis of
+    Q(zeta_m2): the embedding is injective, so each is a pivot column.
     """
     rows, ncol = euler_phi(m), euler_phi(m2)
     emb = [_power_vector(m, j * (m // m2)) for j in range(ncol)]
     aug = [[e[i] for e in emb] + [int(i == k) for k in range(rows)]
            for i in range(rows)]
-    for col in range(ncol):
-        # the embedding is injective, so every column has a pivot
-        sel = next(i for i in range(col, rows) if aug[i][col])
-        aug[col], aug[sel] = aug[sel], aug[col]
-        piv = aug[col]
-        for i in range(rows):
-            f = aug[i][col]
-            if i != col and f:
-                row = [piv[col] * a - f * b for a, b in zip(aug[i], piv)]
-                g = gcd(*row)
-                aug[i] = [v // g for v in row]
+    eliminate(aug, ncol)
     scale = lcm(*(aug[i][i] for i in range(ncol)))
     solve = tuple(_sparse([v * (scale // aug[i][i]) for v in aug[i][ncol:]])
                   for i in range(ncol))

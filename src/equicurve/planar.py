@@ -9,8 +9,12 @@ linear algebra and re-verified independently of the solver.
 """
 from __future__ import annotations
 
+from itertools import zip_longest
+from math import lcm
+
 from .certificates import Certificate
-from .cyclotomic import CycNum, as_cyc
+from .cyclotomic import (_check_cap, _mul_rows, _normal, _widen, as_cyc,
+                         euler_phi)
 from .errors import (
     DegenerateParamsError,
     InputBoundError,
@@ -31,8 +35,6 @@ from .poly import (
 )
 from .projline import Moebius
 
-_C0 = CycNum(0)
-
 # bounds on substituting tau into a component of F with T terms, checked
 # before any product: D bounds the degree of the numerator and the common
 # denominator of the result, and of the residual whose gcd a failing check
@@ -44,8 +46,10 @@ _C0 = CycNum(0)
 MAX_SUBSTITUTION_DEGREE = 120
 MAX_SUBSTITUTION_WORK = 2 ** 18
 # the largest witness degree cap: the search solves one linear system per
-# degree up to the cap, and for a pair that cannot generate, caps 12, 18
-# and 24 took 0.40, 2.3 and 8.6 s on a 2-vCPU VM (Python 3.11)
+# degree up to the cap.  For (Q, R) = (x^2, x^3 + x^2), which cannot
+# generate x, "planar-normalize --P x" took 0.12, 0.16 and 0.22 s at caps
+# 12, 18 and 24, and 0.22, 0.59 and 1.5 s with Q = zeta_5 x^2 (medians of
+# 3 whole commands on a 2-vCPU VM, Python 3.11)
 MAX_WITNESS_DEGREE = 24
 
 
@@ -149,22 +153,30 @@ def subalgebra_witness(target: URatFun, gens: tuple[URatFun, URatFun],
             table.append(table[-1] * base)
         monos = [(i, j) for tot in range(d + 1)
                  for i in range(tot + 1) for j in (tot - i,)]
-        cols = []
-        for (i, j) in monos:
-            cols.append(q1_p[i] * q2_p[d - i] * r1_p[j] * r2_p[d - j]
-                        * target.den)
-        rhs_poly = target.num * q2_p[d] * r2_p[d]
-        nrows = max(max((c.degree for c in cols), default=-1),
-                    rhs_poly.degree) + 1
-        # each coefficient view is built once, padded to nrows
-        cs = [f.c + (_C0,) * (nrows - 1 - f.degree) for f in cols]
-        rows = [list(row) for row in zip(*cs)]
-        rhs = list(rhs_poly.c + (_C0,) * (nrows - 1 - rhs_poly.degree))
-        sol = solve_linear(rows, rhs)
+        cols = [q1_p[i] * q2_p[d - i] * r1_p[j] * r2_p[d - j] * target.den
+                for i, j in monos]
+        rhs = target.num * q2_p[d] * r2_p[d]
+        m = lcm(rhs.m, *(c.m for c in cols))
+        _check_cap(m)   # no single product may have joined all the fields
+        phi = euler_phi(m)
+        # over Q(zeta_m) each unknown is written in the power basis: its
+        # k-th rational coordinate multiplies the numerators of c * zeta^k
+        units = [[int(i == k) for i in range(phi)] for k in range(phi)]
+        expanded = [c.nums for c in cols] if phi == 1 else [
+            _mul_rows(wide, phi, u, phi, m)
+            for wide in (_widen(c.nums, c.m, m) for c in cols) for u in units]
+        system = list(zip_longest(*expanded, _widen(rhs.nums, rhs.m, m),
+                                  fillvalue=0))
+        sol = solve_linear([r[:-1] for r in system], [r[-1] for r in system])
         if sol is None:
             continue
-        witness = MPoly(variables,
-                        {(i, j): sol[idx] for idx, (i, j) in enumerate(monos)})
+        # the coordinates solved for are over den(c) / den(rhs), so both
+        # denominators fold into the one value built per unknown
+        nums, den = sol
+        witness = MPoly(variables, {
+            mono: _normal(m if any(row[1:]) else 1,
+                          [v * c.den for v in row], den * rhs.den)
+            for mono, c, row in zip(monos, cols, zip(*[iter(nums)] * phi))})
         # soundness re-check, independently of the solver
         if witness.substitute((q, r)) == target:
             return witness

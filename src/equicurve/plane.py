@@ -221,13 +221,6 @@ def build_involution_extension(c: CurveAut) -> Extendable:
         prod = prod * (y_par - w)
     emb = (x_par / prod, y_par)
 
-    vars2 = ("x", "y")
-    xv, yv = MPoly.var(vars2, "x"), MPoly.var(vars2, "y")
-    factor = MPoly.const(vars2, 1)
-    for w in a_vals:
-        factor = factor * (yv - w)
-    curve_eq = yv * yv - 1 - xv * xv * factor * factor
-
     on_curve = emb[1] * emb[1] - 1 - emb[0] * emb[0] * (prod * prod)
     cert.check("image satisfies y^2 - 1 = x^2 prod(y - a_i)^2",
                on_curve.is_zero(), witness=str(on_curve))
@@ -255,8 +248,7 @@ def build_involution_extension(c: CurveAut) -> Extendable:
                x_par.num == UPoly([-half, as_cyc(0), half]))
     desc = "(x, y) -> (-x, y)"
     return Extendable(emb, desc, cert, {
-        "curve_equation": curve_eq, "moebius": full, "lambda": lam, "sqrt": s,
-        "levels": a_vals,
+        "moebius": full, "lambda": lam, "sqrt": s, "levels": a_vals,
     })
 
 

@@ -17,7 +17,7 @@ from equicurve.errors import (
     PNotInvariantError,
     TooFewPointsError,
 )
-from equicurve.poly import HPoly2, UPoly, URatFun
+from equicurve.poly import HPoly2, MPoly, UPoly, URatFun
 from equicurve.projline import (
     FinSubgroupG,
     FinSubgroupH,
@@ -172,6 +172,64 @@ def _rank(rows: list[list[CycNum]]) -> int:
         rank += 1
         col += 1
     return rank
+
+
+def solve_linear_field(rows: list[list], rhs: list):
+    """Solve rows @ x = rhs by Gauss-Jordan elimination over CycNum, the
+    solver ``linalg.solve_linear`` replaced: every free variable zero,
+    columns in input order; None when inconsistent."""
+    n = len(rows)
+    if n == 0:
+        return []
+    ncol = len(rows[0])
+    mat = [[CycNum(v) for v in r] + [CycNum(rhs[i])]
+           for i, r in enumerate(rows)]
+    pivots = []
+    r = 0
+    for col in range(ncol):
+        sel = next((i for i in range(r, n) if mat[i][col]), None)
+        if sel is None:
+            continue
+        mat[r], mat[sel] = mat[sel], mat[r]
+        inv = mat[r][col].inverse()
+        mat[r] = [v * inv for v in mat[r]]
+        for i in range(n):
+            if i != r and mat[i][col]:
+                f = mat[i][col]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(col)
+        r += 1
+        if r == n:
+            break
+    if any(mat[i][ncol] for i in range(r, n)):
+        return None
+    out = [CycNum(0)] * ncol
+    for i, col in enumerate(pivots):
+        out[col] = mat[i][ncol]
+    return out
+
+
+def subalgebra_witness_field(target: URatFun, gens, degree_cap: int = 12,
+                             variables=("Y", "Z")):
+    """``planar.subalgebra_witness`` by its former path: the system of each
+    degree read off the CycNum coefficients ``.c`` of its columns and
+    solved over the field by ``solve_linear_field``."""
+    q, r = gens
+    for d in range(1, degree_cap + 1):
+        monos = [(i, tot - i) for tot in range(d + 1) for i in range(tot + 1)]
+        cols = [q.num ** i * q.den ** (d - i) * r.num ** j * r.den ** (d - j)
+                * target.den for i, j in monos]
+        rhs = target.num * q.den ** d * r.den ** d
+        nrows = max(max(c.degree for c in cols), rhs.degree) + 1
+        cs = [c.c + (CycNum(0),) * (nrows - 1 - c.degree) for c in cols + [rhs]]
+        sol = solve_linear_field([list(row[:-1]) for row in zip(*cs)],
+                                 [row[-1] for row in zip(*cs)])
+        if sol is None:
+            continue
+        witness = MPoly(variables, dict(zip(monos, sol)))
+        if witness.substitute((q, r)) == target:
+            return witness
+    return None
 
 
 def invariant_dimensions_oracle(G: FinSubgroupG, degrees) -> dict[int, int]:

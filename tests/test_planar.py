@@ -1,10 +1,13 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from equicurve.cyclotomic import as_cyc
+from equicurve import planar
+from equicurve.cyclotomic import CycNum, as_cyc, set_conductor_cap
 from equicurve.errors import (
+    ConductorCapError,
     DegenerateParamsError,
     InputBoundError,
     WitnessNotFoundError,
@@ -36,6 +39,8 @@ from equicurve.poly import (
 )
 from equicurve.projline import Moebius
 
+from oracles import subalgebra_witness_field
+
 
 def test_witness_search_examples():
     w = subalgebra_witness(parse_ratfun("x"),
@@ -65,6 +70,78 @@ def test_witness_soundness_random():
         found = subalgebra_witness(target, (q, r), degree_cap=6)
         assert found is not None
         assert found.substitute((q, r)) == target
+
+
+@pytest.mark.parametrize("m", [4, 3, 5])
+def test_witnesses_over_cyclotomic_fields_match_the_field_oracle(m):
+    # Q(i), Q(zeta_3), Q(zeta_5): the unknowns written in the power basis
+    # give the witness of the CycNum solve on the coefficients .c
+    z = f"cyc({m};0,1)"
+    cases = [("x", (f"{z}/x", "x + 1/x"), 4),
+             ("x", (f"{z}*x^2", "x^3 + x^2"), 5),   # no witness
+             (f"1/(x^2 - {z})", ("x", f"1/(3*x^2 - 3*{z})"), 3)]
+    q, r = parse_ratfun(f"{z}/(x - 1)"), parse_ratfun("x/2")
+    zeta = as_cyc(parse_ratfun(z).num.lead())
+    rng = random.Random(m)
+    for _ in range(3):
+        a = MPoly(("Y", "Z"), {(i, j): rng.randint(-2, 2) + Fraction(
+            rng.randint(-2, 2), 3) * zeta ** rng.randrange(m)
+            for i in range(3) for j in range(3 - i)})
+        cases.append((a.substitute((q, r)), (q, r), 4))
+    for target, gens, cap in cases:
+        if isinstance(target, str):
+            target = parse_ratfun(target)
+            gens = tuple(parse_ratfun(g) for g in gens)
+        got = subalgebra_witness(target, gens, cap)
+        want = subalgebra_witness_field(target, gens, cap)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert got == want and str(got) == str(want)
+
+
+def test_witness_system_field_is_checked_against_the_cap():
+    # the system of (zeta_3 x; zeta_5 / x, x) is over Q(zeta_15), degree 8
+    target = parse_ratfun("cyc(3;0,1)*x")
+    gens = (parse_ratfun("cyc(5;0,1)/x"), parse_ratfun("x"))
+    previous = set_conductor_cap(4)
+    try:
+        with pytest.raises(ConductorCapError, match="conductor 15"):
+            subalgebra_witness(target, gens, 3)
+    finally:
+        set_conductor_cap(previous)
+    assert str(subalgebra_witness(target, gens, 3)) == "cyc(3; 0, 1)*Z"
+
+
+def test_witness_solve_makes_no_cycnum_operation(monkeypatch):
+    # the systems go to the solver as integer rows, over Q and over Q(zeta_5)
+    calls, solves = [], []
+    solving = False
+    original_solve = planar.solve_linear
+
+    def solve(*args):
+        nonlocal solving
+        solves.append(1)
+        solving = True
+        try:
+            return original_solve(*args)
+        finally:
+            solving = False
+
+    def counted(name, original):
+        def wrapper(*args):
+            if solving:
+                calls.append(name)
+            return original(*args)
+        return wrapper
+
+    for name in ("__mul__", "__rmul__", "_plus", "inverse", "__truediv__"):
+        monkeypatch.setattr(CycNum, name, counted(name, getattr(CycNum, name)))
+    monkeypatch.setattr(planar, "solve_linear", solve)
+    x = parse_ratfun("x")
+    for q in ("2/x", "cyc(5;0,1)/x"):
+        gens = (parse_ratfun(q), parse_ratfun("x + 1/(3*x)"))
+        assert subalgebra_witness(x, gens, 3) is not None
+    assert solves and not calls, f"{len(calls)} CycNum operations"
 
 
 def test_normalize_worked_example_one():
