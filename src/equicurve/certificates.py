@@ -14,33 +14,35 @@ class Clause(namedtuple("Clause", "claim ok witness", defaults=("",))):
 class Certificate:
     """A titled list of clauses; it passes when every clause does.
 
-    The clauses are kept as three columns, claims, statuses and witnesses,
-    since callers keep certificates: one tuple per clause took twice the
-    memory.  ``clauses`` builds the list of :class:`Clause` values.
+    The clauses are kept flat in one tuple, ``claim, ok, witness`` per
+    clause, since callers keep certificates: one tuple per clause took
+    twice the memory, and lists (three columns, or one) cost a header and
+    spare capacity each.  A certificate holds a few dozen clauses at most,
+    so extending the tuple per clause stays cheap.  ``clauses`` builds the
+    list of :class:`Clause` values.
     """
 
-    __slots__ = ("title", "claims", "oks", "witnesses")
+    __slots__ = ("title", "flat")
 
     def __init__(self, title: str):
         self.title = title
-        self.claims, self.oks, self.witnesses = [], [], []
+        self.flat = ()
 
     def check(self, claim: str, ok: bool, witness: str = "") -> bool:
         # claims and witnesses repeat across certificates; interning shares
         # their text
         ok = bool(ok)
-        self.claims.append(intern(claim))
-        self.oks.append(ok)
-        self.witnesses.append(intern(witness))
+        self.flat += (intern(claim), ok, intern(witness))
         return ok
 
     @property
     def clauses(self) -> list[Clause]:
-        return list(map(Clause, self.claims, self.oks, self.witnesses))
+        f = self.flat
+        return list(map(Clause, f[::3], f[1::3], f[2::3]))
 
     @property
     def ok(self) -> bool:
-        return all(self.oks)
+        return all(self.flat[1::3])
 
     def to_json(self) -> dict:
         return {
@@ -56,8 +58,7 @@ class Certificate:
 
 def merge(title: str, certs: list[Certificate]) -> Certificate:
     out = Certificate(title)
-    out.claims = [intern(f"{c.title}: {claim}") for c in certs
-                  for claim in c.claims]
-    out.oks = [ok for c in certs for ok in c.oks]
-    out.witnesses = [w for c in certs for w in c.witnesses]
+    for c in certs:
+        for claim, ok, witness in c.clauses:
+            out.check(f"{c.title}: {claim}", ok, witness)
     return out

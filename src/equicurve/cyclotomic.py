@@ -344,6 +344,8 @@ def _normal(m: int, nums, den: int) -> "CycNum":
 
 def _power(base, n: int, one):
     """base ** n by repeated squaring, for n >= 0."""
+    if n < 0:
+        raise ValueError(f"negative exponent {n}")
     out = one
     while n:
         if n & 1:

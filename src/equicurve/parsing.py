@@ -167,7 +167,7 @@ class _Parser:
                 v = self.divide(v, rhs)
                 continue
             if isinstance(v, MPoly):
-                _check_terms(v, len(v.c) * len(rhs.c),
+                _check_terms(v, len(v.rows) * len(rhs.rows),
                              v.total_degree() + rhs.total_degree(),
                              f"product at position {op.pos}")
             v = v * rhs
@@ -178,9 +178,9 @@ class _Parser:
         while self.peek().kind == "^":
             self.take()
             e = self.take("num")
-            if isinstance(v, MPoly) and v.c:
+            if isinstance(v, MPoly) and v.rows:
                 # a term of v^e is a multiset of e terms of v
-                _check_terms(v, comb(len(v.c) + e.val - 1, e.val),
+                _check_terms(v, comb(len(v.rows) + e.val - 1, e.val),
                              e.val * v.total_degree(),
                              f"power at position {e.pos}")
             v = v ** e.val

@@ -204,7 +204,7 @@ def normalize_planar(e: PlanarEmbedding, degree_cap: int = 12):
         raise WitnessNotFoundError(
             f"no witness A(Q, R) = x within degree {degree_cap}: "
             f"(Q, R) may not generate the coordinate ring")
-    a_poly3 = MPoly(POLY3_VARS, {(0, i, j): v for (i, j), v in A.c.items()})
+    a_poly3 = A.rename(POLY3_VARS, ("Y", "Z"))
     f2 = Aut3((X + a_poly3, Y, Z), (X - a_poly3, Y, Z), label="f2")
 
     # the divisibility that picks (a, b) is the value the clause records
@@ -235,15 +235,15 @@ def normalize_planar(e: PlanarEmbedding, degree_cap: int = 12):
     if not cert.check("witness B(x, Q') = 1/P - R verified", B is not None):
         raise WitnessNotFoundError(
             f"no witness B(x, Q') = 1/P - R within degree {degree_cap}")
-    b_poly3 = MPoly(POLY3_VARS, {(i, j, 0): v for (i, j), v in B.c.items()})
+    b_poly3 = B.rename(POLY3_VARS, ("X", "Y"))
     f4 = Aut3((X, Y, Z + b_poly3), (X, Y, Z - b_poly3), label="f4")
 
     C = subalgebra_witness(qprime, (x, one_over_p), degree_cap, ("X", "Z"))
     if not cert.check("witness C(x, 1/P) = Q' verified", C is not None):
         raise WitnessNotFoundError(
             f"no witness C(x, 1/P) = Q' within degree {degree_cap}")
-    c_y = MPoly(POLY3_VARS, {(i, j, 0): v for (i, j), v in C.c.items()})
-    c_z = MPoly(POLY3_VARS, {(i, 0, j): v for (i, j), v in C.c.items()})
+    c_y = C.rename(POLY3_VARS, ("X", "Y"))
+    c_z = C.rename(POLY3_VARS, ("X", "Z"))
     f5 = Aut3((X, Z, Y - c_z), (X, Z + c_y, Y), label="f5")
 
     chain = [f2, f3, f4, f5]
@@ -296,10 +296,10 @@ def verify_extension(forward: tuple[MPoly, MPoly, MPoly],
     for i, f in enumerate(forward):
         D = sum(k * deg for k, deg in zip(f.degrees(), tau_degrees))
         if (D > MAX_SUBSTITUTION_DEGREE
-                or len(f.c) * D * D > MAX_SUBSTITUTION_WORK):
+                or len(f.rows) * D * D > MAX_SUBSTITUTION_WORK):
             raise InputBoundError(
                 f"substituting tau into component {i + 1} of F implies degree "
-                f"D = {D} over T = {len(f.c)} terms; the bounds are "
+                f"D = {D} over T = {len(f.rows)} terms; the bounds are "
                 f"D <= {MAX_SUBSTITUTION_DEGREE} and "
                 f"T * D^2 <= {MAX_SUBSTITUTION_WORK}")
     cert = Certificate("extension identity F o tau o phi = tau")

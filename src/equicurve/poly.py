@@ -6,9 +6,9 @@ Four shapes cover everything the constructions need:
 * :class:`URatFun` - reduced univariate rational functions;
 * :class:`HPoly2` - homogeneous bivariate polynomials, a degree plus the
   dehomogenization as a UPoly (coefficient i belongs to ``x^i y^(d-i)``);
-* :class:`MPoly` - sparse multivariate polynomials with named variables and
-  CycNum coefficients (polynomial maps of A^3, witness polynomials,
-  identity checking).
+* :class:`MPoly` - sparse multivariate polynomials with named variables
+  (polynomial maps of A^3, witness polynomials, identity checking), stored
+  on integer rows as UPoly is (see :mod:`mpoly`).
 
 A UPoly stores one field, one denominator and integer numerators, as
 FLINT's ``fmpq_poly`` and ``nf_elem`` do: a conductor m, a common
@@ -159,12 +159,14 @@ class UPoly:
     def const(v) -> "UPoly":
         v = as_cyc(v)   # its normal form is the polynomial's
         if not any(v.nums[1:]):
+            if v.nums[0] == v.den:   # 1, like 0, is shared
+                return _U1
             return _make(1, v.nums[:1], v.den) if v.nums[0] else _U0
         return _make(v.m, v.nums, v.den)
 
     @staticmethod
     def x() -> "UPoly":
-        return _make(1, (0, 1))
+        return _UX
 
     @staticmethod
     def from_roots(roots) -> "UPoly":
@@ -211,21 +213,34 @@ class UPoly:
     __hash__ = None
 
     def __add__(self, other):
-        return _plus(self, other, 1)
+        o = _as_upoly(other)
+        return NotImplemented if o is None else _plus(self, o, 1)
+
+    __radd__ = __add__
 
     def __sub__(self, other):
-        return _plus(self, other, -1)
+        o = _as_upoly(other)
+        return NotImplemented if o is None else _plus(self, o, -1)
+
+    def __rsub__(self, other):
+        o = _as_upoly(other)
+        return NotImplemented if o is None else _plus(o, self, -1)
 
     def __neg__(self):
         return _make(self.m, tuple([-v for v in self.nums]), self.den)
 
     def __mul__(self, other):
-        if type(other) is not UPoly:
-            if not isinstance(other, _SCALARS):
-                return NotImplemented
-            other = UPoly.const(other)
+        other = _as_upoly(other)
+        if other is None:
+            return NotImplemented
         if not self.nums or not other.nums:
             return _U0
+        # the shared 1 (a unit denominator, UPoly.const(1)) keeps the other
+        # operand itself, so a rational function's denominator is shared
+        if other is _U1:
+            return self
+        if self is _U1:
+            return other
         return _mul(self, other)
 
     __rmul__ = __mul__
@@ -315,8 +330,7 @@ class UPoly:
         lowest terms once.
         """
         if isinstance(inner, URatFun):
-            f = MPoly(("x",), {(i,): v for i, v in enumerate(self.c)})
-            return _evaluate((f,), (inner,))[0]
+            return _evaluate((_from_upoly(self),), (inner,))[0]
         out = _U0
         for coeff in reversed(self.c):
             out = out * inner + UPoly.const(coeff)
@@ -329,7 +343,16 @@ class UPoly:
     __repr__ = __str__
 
 
-_U0, _U1 = _make(1, ()), _make(1, (1,))
+# 0, 1 and x are shared, as the values kept alive (inputs, results) hold
+# them often; no operation changes a UPoly or URatFun in place
+_U0, _U1, _UX = _make(1, ()), _make(1, (1,)), _make(1, (0, 1))
+
+
+def _as_upoly(v) -> UPoly | None:
+    # a UPoly operand, or a scalar one as a constant; None for anything else
+    if type(v) is UPoly:
+        return v
+    return UPoly.const(v) if isinstance(v, _SCALARS) else None
 
 
 class URatFun:
@@ -343,11 +366,15 @@ class URatFun:
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         if num.is_zero():
-            self.num, self.den = UPoly(), UPoly.const(1)
+            self.num, self.den = _U0, _U1
             return
         _, num, den = num.cofactors(den)
-        lead_inv = den.lead().inverse()
-        self.num, self.den = num * lead_inv, den * lead_inv
+        lead = den.lead()
+        if lead != 1:   # most reduced denominators are monic already
+            lead_inv = lead.inverse()
+            num, den = num * lead_inv, den * lead_inv
+        # a constant denominator is 1, shared by the values kept alive
+        self.num, self.den = num, den if den.degree else _U1
 
     @staticmethod
     def const(v) -> "URatFun":
@@ -355,7 +382,7 @@ class URatFun:
 
     @staticmethod
     def x() -> "URatFun":
-        return URatFun(UPoly.x())
+        return _RX
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -367,46 +394,52 @@ class URatFun:
         return self.den.degree == 0
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, CycNum)):
-            other = URatFun.const(other)
-        return isinstance(other, URatFun) and self.num == other.num and self.den == other.den
+        other = _as_ratfun(other)
+        return other is not None and self.num == other.num and self.den == other.den
 
     __hash__ = None
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, CycNum)):
-            other = URatFun.const(other)
+        other = _as_ratfun(other)
+        if other is None:
+            return NotImplemented
         return URatFun(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, CycNum)):
-            other = URatFun.const(other)
+        other = _as_ratfun(other)
+        if other is None:
+            return NotImplemented
         return URatFun(self.num * other.den - other.num * self.den, self.den * other.den)
 
     def __rsub__(self, other):
-        return URatFun.const(other) - self
+        other = _as_ratfun(other)
+        return NotImplemented if other is None else other - self
 
     def __neg__(self):
         return URatFun(-self.num, self.den)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, CycNum)):
+        if isinstance(other, _SCALARS):
             return URatFun(self.num * as_cyc(other), self.den)
+        if not isinstance(other, URatFun):
+            return NotImplemented
         return URatFun(self.num * other.num, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction, CycNum)):
-            other = URatFun.const(other)
+        other = _as_ratfun(other)
+        if other is None:
+            return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("division by zero rational function")
         return URatFun(self.num * other.den, self.den * other.num)
 
     def __rtruediv__(self, other):
-        return URatFun.const(other) / self
+        other = _as_ratfun(other)
+        return NotImplemented if other is None else other / self
 
     def __pow__(self, n: int):
         if n < 0:
@@ -419,8 +452,7 @@ class URatFun:
         """num(inner) / den(inner), with num(inner) = a / da and den(inner)
         = b / db over common denominators, reduced once: (a db) / (b da)."""
         (a, da), (b, db) = _over_common_denominator(
-            [MPoly(("x",), {(i,): v for i, v in enumerate(f.c)})
-             for f in (self.num, self.den)], (inner,))
+            [_from_upoly(f) for f in (self.num, self.den)], (inner,))
         return URatFun(a * db, b * da)
 
     def eval(self, v: CycNum) -> CycNum:
@@ -441,6 +473,16 @@ class URatFun:
         return f"{num} / {den}"
 
     __repr__ = __str__
+
+
+_RX = URatFun(_UX)
+
+
+def _as_ratfun(v) -> URatFun | None:
+    # a URatFun operand, or a scalar one as a constant; None for anything else
+    if isinstance(v, URatFun):
+        return v
+    return URatFun.const(v) if isinstance(v, _SCALARS) else None
 
 
 # ---------------------------------------------------------------------------
@@ -517,6 +559,8 @@ class HPoly2:
         return self.d
 
     def __add__(self, other: "HPoly2"):
+        if not isinstance(other, HPoly2):
+            return NotImplemented
         if not self.u.nums:
             return other
         if not other.u.nums:
@@ -524,6 +568,8 @@ class HPoly2:
         return HPoly2(self._common_degree(other), self.u + other.u)
 
     def __sub__(self, other: "HPoly2"):
+        if not isinstance(other, HPoly2):
+            return NotImplemented
         if not other.u.nums:
             return self
         if not self.u.nums:
@@ -724,52 +770,48 @@ def _monomial_images(forms, d: int, ea, eb, m: int) -> list:
 def compose_matrix_many(polys, mat):
     """Substitute (x, y) <- (m11 x + m12 y, m21 x + m22 y) into each form.
 
-    The forms of one degree d and the matrix are brought to one field
-    Q(zeta_m), within the conductor cap, the entries over one denominator
-    D.  The image of a form f with numerators F over den is F(A, B) / (den
-    D^d), where A = D (m11 x + m12 y) and B = D (m21 x + m22 y) have integer
-    numerators: by :func:`_substitute`, or under a diagonal or antidiagonal
-    matrix by :func:`_monomial_images`, since then each monomial maps to a
-    multiple of one monomial.  Forms of mixed degrees, or in different
-    fields once the matrix's entries are adjoined, are substituted one at a
-    time.
+    The forms are taken in groups of one degree d and one field: each group
+    and the matrix are brought to Q(zeta_m), m the lcm of the group's
+    conductor and the entries', within the conductor cap, the entries over
+    one denominator D.  The image of a form f with numerators F over den is
+    F(A, B) / (den D^d), where A = D (m11 x + m12 y) and B = D (m21 x + m22
+    y) have integer numerators: by :func:`_substitute`, or under a diagonal
+    or antidiagonal matrix by :func:`_monomial_images`, since then each
+    monomial maps to a multiple of one monomial.  A constant is its own
+    image, in any field.
     """
-    degs = {p.d for p in polys if p.u.nums}
-    if degs <= {0}:   # a constant is its own image, in any field
-        return list(polys)
-    if len(degs) != 1:
-        return [compose_matrix_many((p,), mat)[0] for p in polys]
-    d = degs.pop()
-    entries = _from_values(mat)
-    fields = {_join(entries.m, p.u.m) for p in polys if p.u.nums}
-    if len(fields) != 1:
-        # numerators over the lcm of every form's field would cost more
-        # than the powers of A and B they share
-        return [compose_matrix_many((p,), mat)[0] for p in polys]
-    m = fields.pop()
-    phi = euler_phi(m)
-    e = [*_widen(entries.nums, entries.m, m), *[0] * (4 * phi)]
-    e11, e12, e21, e22 = (e[k:k + phi] for k in range(0, 4 * phi, phi))
-    forms = [_widen(p.u.nums, p.u.m, m) for p in polys if p.u.nums]
-    # the monomial images are kept for speed: without them, embed rounds at
-    # seed 1 of bench/workloads.py took 1.16 times as long (median of 10
-    # alternating rounds in one process) and the dihedral preset at n = 61
-    # 24 s, not 4 s (2-vCPU x86-64 VM)
-    if not any(e12) and not any(e21):
-        images = [[v for row in rows for v in row]
-                  for rows in _monomial_images(forms, d, e11, e22, m)]
-    elif not any(e11) and not any(e22):   # x^i y^(d-i) -> x^(d-i) y^i
-        images = [[v for row in rows[::-1] for v in row]
-                  for rows in _monomial_images(forms, d, e12, e21, m)]
-    else:
-        images = _substitute(forms, d, [*e12, *e11], [*e22, *e21], m)
-    images = iter(images)
-    return [HPoly2(d, _poly(m, next(images), p.u.den * entries.den ** d))
-            if p.u.nums else p for p in polys]
+    groups = {}   # (degree, field) -> indices of the forms
+    entries = None
+    for k, p in enumerate(polys):
+        if p.d > 0:
+            if entries is None:
+                entries = _from_values(mat)
+            groups.setdefault((p.d, _join(entries.m, p.u.m)), []).append(k)
+    out = list(polys)
+    for (d, m), ks in groups.items():
+        phi = euler_phi(m)
+        e = [*_widen(entries.nums, entries.m, m), *[0] * (4 * phi)]
+        e11, e12, e21, e22 = (e[k:k + phi] for k in range(0, 4 * phi, phi))
+        forms = [_widen(polys[k].u.nums, polys[k].u.m, m) for k in ks]
+        # the monomial images are kept for speed: without them, embed
+        # rounds at seed 1 of bench/workloads.py took 1.16 times as long
+        # (median of 10 alternating rounds in one process) and the dihedral
+        # preset at n = 61 24 s, not 4 s (2-vCPU x86-64 VM)
+        if not any(e12) and not any(e21):
+            images = [[v for row in rows for v in row]
+                      for rows in _monomial_images(forms, d, e11, e22, m)]
+        elif not any(e11) and not any(e22):   # x^i y^(d-i) -> x^(d-i) y^i
+            images = [[v for row in rows[::-1] for v in row]
+                      for rows in _monomial_images(forms, d, e12, e21, m)]
+        else:
+            images = _substitute(forms, d, [*e12, *e11], [*e22, *e21], m)
+        for k, nums in zip(ks, images):
+            out[k] = HPoly2(d, _poly(m, nums, polys[k].u.den * entries.den ** d))
+    return out
 
 
 # the sparse multivariate polynomials live in their own module, which
 # imports the names above
 from .mpoly import (MPoly, POLY3_VARS, _evaluate,  # noqa: E402
-                    _over_common_denominator, poly3_compose, poly3_identity,
-                    poly3_var)
+                    _from_upoly, _over_common_denominator, poly3_compose,
+                    poly3_identity, poly3_var)

@@ -417,3 +417,56 @@ def upoly_gcd_euclid(a: UPoly, b: UPoly) -> UPoly:
     while not b.is_zero():
         a, b = b, a % b
     return a.monic()
+
+
+# -- multivariate polynomials as dicts of CycNum coefficients ------------------
+# The reference for the integer rows of MPoly: exponent tuple -> nonzero
+# CycNum, every operation one CycNum operation at a time, each in the field
+# of its operands.
+
+def _nonzero(d: dict) -> dict:
+    return {e: v for e, v in d.items() if v}
+
+
+def dict_sum(a: dict, b: dict, sign: int = 1) -> dict:
+    out = dict(a)
+    for e, v in b.items():
+        out[e] = out.get(e, CycNum(0)) + sign * v
+    return _nonzero(out)
+
+
+def dict_scale(a: dict, s) -> dict:
+    return _nonzero({e: v * s for e, v in a.items()})
+
+
+def dict_product(a: dict, b: dict) -> dict:
+    out = {}
+    for e1, x in a.items():
+        for e2, y in b.items():
+            e = tuple(i + j for i, j in zip(e1, e2))
+            out[e] = out.get(e, CycNum(0)) + x * y
+    return _nonzero(out)
+
+
+def dict_at(f: dict, values: list, one: dict) -> dict:
+    """f at the polynomial values (dicts), ``one`` the constant 1 of their
+    ring: every term a product of repeated products, the terms summed."""
+    out = {}
+    for e, c in f.items():
+        term = dict_scale(one, c)
+        for value, k in zip(values, e):
+            for _ in range(k):
+                term = dict_product(term, value)
+        out = dict_sum(out, term)
+    return out
+
+
+def dict_at_scalars(f: dict, values) -> CycNum:
+    out = CycNum(0)
+    for e, c in f.items():
+        term = c
+        for value, k in zip(values, e):
+            for _ in range(k):
+                term = term * value
+        out = out + term
+    return out

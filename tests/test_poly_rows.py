@@ -2,7 +2,8 @@
 CycNum-tuple reference in ``oracles``: every operation, over Q and the
 fields Q(zeta_m) for m = 3, 4, 5, 8, 12, 20, with operands from one or two
 fields; equal values stored at different conductors; division by x and y;
-and no CycNum arithmetic in products, sums and substitutions."""
+no CycNum arithmetic in products, sums and substitutions; and the shared
+1, x and denominators."""
 from fractions import Fraction
 
 import pytest
@@ -172,3 +173,51 @@ def test_products_sums_and_substitutions_make_no_cycnum_operation(monkeypatch):
     assert sums[2] == HPoly2.zero()
     for image, mat in zip(images, mats):
         assert image[0].u.c == tuple_substitute(f.u.c, 12, mat)
+
+
+def test_a_matrix_takes_forms_of_several_fields_and_degrees_in_one_call(
+        monkeypatch):
+    # forms over Q(i) and Q, of degrees 4, 3 and 0, under monomial and
+    # generic matrices over Q(zeta_5) and Q: each group of one degree and
+    # one field is substituted together, with no call per form, and every
+    # image is the one a call for that form alone stores
+    from equicurve import poly
+    z, i = root_of_unity(5), root_of_unity(4)
+    forms = (HPoly2(4, {0: i, 2: 1 + i, 4: Fraction(1, 3)}),
+             HPoly2(4, {1: 2, 3: Fraction(-1, 2)}),
+             HPoly2(3, {0: 1, 3: z}), HPoly2(0, {0: i}), HPoly2.zero(),
+             HPoly2(4, {0: 5, 4: 1}))
+    mats = [(z, 0, 0, z ** 2 + 1), (0, z, Fraction(1, 2), 0), (2, 0, 0, -1),
+            (1, z, 0, 1), (1, 2, 3, 4)]
+    for mat in mats:
+        alone = [compose_matrix_many((f,), mat)[0] for f in forms]
+        calls = []
+        original = poly.compose_matrix_many
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(poly, "compose_matrix_many", counted)
+        together = poly.compose_matrix_many(forms, mat)
+        monkeypatch.undo()
+        assert len(calls) == 1
+        for got, want, f in zip(together, alone, forms):
+            assert got == want and got.d == want.d and got.u.m == want.u.m
+            assert str(got) == str(want)
+            assert got.u.c == (tuple_substitute(f.u.c, f.d, mat) if f.d > 0
+                               else f.u.c)
+
+
+def test_the_unit_factor_keeps_its_operand_and_denominators_are_shared():
+    # kept values (inputs, results) share 1, x and the denominators that a
+    # product by 1 or a coprime reduction hands through unchanged
+    from equicurve.poly import URatFun
+    P = UPoly.from_roots([1, -2, 3])
+    assert P * 1 is P and UPoly.const(1) * P is P and 1 * P is P
+    assert UPoly.x() is UPoly.x() and URatFun.x() is URatFun.x()
+    q = URatFun(UPoly.const(1), P) + URatFun(UPoly([1, 2]))
+    assert q.den is P
+    assert q.num == UPoly([1, 2]) * P + 1
+    zero = URatFun(UPoly(), P)
+    assert zero.num.is_zero() and zero.den is UPoly.const(1)
