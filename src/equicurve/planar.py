@@ -13,8 +13,7 @@ from itertools import zip_longest
 from math import lcm
 
 from .certificates import Certificate
-from .cyclotomic import (_check_cap, _mul_rows, _normal, _widen, as_cyc,
-                         euler_phi)
+from .cyclotomic import _check_cap, _mul_rows, _widen, as_cyc, euler_phi
 from .errors import (
     DegenerateParamsError,
     InputBoundError,
@@ -33,6 +32,7 @@ from .poly import (
     poly3_compose,
     poly3_identity,
 )
+from .mpoly import _mpoly
 from .projline import Moebius
 
 # bounds on substituting tau into a component of F with T terms, checked
@@ -170,13 +170,13 @@ def subalgebra_witness(target: URatFun, gens: tuple[URatFun, URatFun],
         sol = solve_linear([r[:-1] for r in system], [r[-1] for r in system])
         if sol is None:
             continue
-        # the coordinates solved for are over den(c) / den(rhs), so both
-        # denominators fold into the one value built per unknown
+        # the coordinates solved for are over den(c) / den(rhs), so each
+        # row takes its column's denominator and all share den * den(rhs)
         nums, den = sol
-        witness = MPoly(variables, {
-            mono: _normal(m if any(row[1:]) else 1,
-                          [v * c.den for v in row], den * rhs.den)
-            for mono, c, row in zip(monos, cols, zip(*[iter(nums)] * phi))})
+        witness = _mpoly(variables, m, {
+            mono: tuple([v * c.den for v in row])
+            for mono, c, row in zip(monos, cols, zip(*[iter(nums)] * phi))},
+            den * rhs.den)
         # soundness re-check, independently of the solver
         if witness.substitute((q, r)) == target:
             return witness

@@ -16,6 +16,7 @@ from math import lcm
 from .cyclotomic import CycNum, as_cyc, try_sqrt
 from .errors import (
     DegeneratePointsError,
+    InputBoundError,
     NotFiniteWithinCapError,
     NotInvariantError,
     RootFieldUnsupportedError,
@@ -341,6 +342,14 @@ def minimal_generators(elements: list[Moebius]) -> list[Moebius]:
     return gens or [Moebius.identity()]
 
 
+# the most distinct points aut_of_lambda searches: its work grows about as
+# r^4 times the cost of a product in the points' field.  On the r-th roots
+# of unity, the slowest family measured, every r up to 22 took at most about
+# 12 s (r = 19; r = 21, 22 and 24 took 7, 5.5 and 4.4-6.3 s), and r = 23
+# took 34 s (2-vCPU x86-64 VM, Python 3.11)
+MAX_STABILIZER_POINTS = 22
+
+
 def _triple_matrix(p1: P1Point, p2: P1Point, p3: P1Point):
     # rows vanish at p1 resp. p3; scaled to agree at p2; sends the triple
     # to [0:1], [1:1], [1:0]
@@ -359,25 +368,41 @@ def aut_of_lambda(points: list[P1Point], cap: int = 120) -> FinSubgroupH:
 
     Each ordered triple of distinct points is a candidate image of one fixed
     base triple; three-point transitivity pins the map, set preservation
-    filters.  That is r^3 candidate maps checked on up to r points each, so
+    filters.  The transport sends the base triple onto its image, so each of
+    the r(r-1)(r-2) candidates is tested on the other r - 3 points only, and
     the time grows about as r^4: on the r-th roots of unity, r = 8, 12 and
-    16 take 0.14 s, 0.59 s and 2.3 s (best of 9, 2-vCPU x86-64 VM, Python
-    3.11).  More than ``cap`` maps raise :class:`NotFiniteWithinCapError`.
+    16 take 0.06 s, 0.27 s and 1.1 s (best of 3, 2-vCPU x86-64 VM, Python
+    3.11).  More than ``MAX_STABILIZER_POINTS`` distinct points raise
+    :class:`InputBoundError` before any search, and more than ``cap`` maps
+    raise :class:`NotFiniteWithinCapError`.
     """
-    pts = sort_points(dedupe_points(points))
+    pts = dedupe_points(points)
     if len(pts) < 3:
         raise TooFewPointsError(
             "automorphism search needs at least 3 distinct points")
+    if len(pts) > MAX_STABILIZER_POINTS:
+        raise InputBoundError(
+            f"stabilizer search on {len(pts)} distinct points exceeds "
+            f"{MAX_STABILIZER_POINTS}")
+    pts = sort_points(pts)
     members = set(pts)
     base_m = _triple_matrix(*pts[:3])
+    rest = pts[3:]
     found: list[Moebius] = []
     for dst in permutations(pts, 3):
         g = _transport(base_m, dst)
-        if all(g.apply(p) in members for p in pts):
+        if all(g.apply(p) in members for p in rest):
             found.append(g)
             if len(found) > cap:
                 raise NotFiniteWithinCapError(
                     f"stabilizer exceeded cap {cap}")
+    # equal entries of the found maps become one object, keyed on the
+    # stored form because CycNum.__hash__ runs a subfield descent; the maps
+    # have not left this function, so storing into them is still safe
+    shared: dict = {}
+    for g in found:
+        g._store([shared.setdefault((v.m, v.nums, v.den), v)
+                  for v in g.entries()])
     elements = sort_moebius(found)
     return FinSubgroupH(elements, minimal_generators(elements),
                         classify_group(elements))

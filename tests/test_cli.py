@@ -285,6 +285,10 @@ def test_group_cap_enforced_by_stabilizer_search():
 
 
 _AUT = ["aut", "--lambda", "[0:1],[1:1],[1:0],[2:1]"]
+# one point more than the stabilizer search takes
+_OVER_POINT_BOUND = ",".join(f"[{k}:1]" for k in range(23))
+_POINT_BOUND_MESSAGE = ("parse error: stabilizer search on 23 distinct points "
+                        "exceeds 22")
 _PLANAR = ["planar-normalize", "--P", "x", "--Q", "1/x", "--R", "x + 1/x"]
 _PRESET = ["preset", "--kind", "cyclic", "--pairs", "(1, 2)"]
 _COR25 = ["cor25", "--a", "1"]
@@ -335,17 +339,28 @@ _EXTEND = ["verify-extension", "--F", "X; Y; Z", "--tau", "x; 1/(x^2 - x); 0",
      "parse error: witness degree cap 200 exceeds 24"),
     (_PLANAR[:6] + ["(" * 250 + "x" + ")" * 250],
      "parse error: parentheses at position 100 nest deeper than 100"),
+    (["aut", "--lambda", _OVER_POINT_BOUND], _POINT_BOUND_MESSAGE),
+    (["delta", "--lambda", _OVER_POINT_BOUND], _POINT_BOUND_MESSAGE),
+    (["embed", "--lambda", _OVER_POINT_BOUND], _POINT_BOUND_MESSAGE),
 ], ids=["conductor-cap", "group-cap", "cap", "k", "n", "k-range", "n-range",
         "n-huge", "n-above-group-cap", "n-tetrahedral", "n-missing-cyclic",
         "n-missing-dihedral", "huge-exponent",
         "chained-exponent", "nested-exponent", "chained-constant-exponent",
         "many-terms-power", "many-terms-product", "substitution-degree",
-        "witness-degree-cap", "nesting-depth"])
+        "witness-degree-cap", "nesting-depth", "aut-point-bound",
+        "delta-point-bound", "embed-point-bound"])
 def test_bad_integer_flags_exit_2_with_one_line(argv, message, capsys):
     assert run(argv) == (2, message)
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert (out, err) == (message + "\n", "")
+
+
+def test_gens_skip_the_stabilizer_search_and_its_point_bound():
+    lam = ",".join(f"[{k}:1]" for k in range(-11, 12))   # 23 points
+    for command in ("delta", "embed"):
+        code, _ = run([command, "--lambda", lam, "--gens", "[[-1,0],[0,1]]"])
+        assert code == 0, command
 
 
 _PRIME = "100000000000000000039"

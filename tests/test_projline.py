@@ -8,6 +8,7 @@ from equicurve.cyclotomic import CycNum, root_of_unity
 from equicurve.embed3 import standard_group
 from equicurve.errors import (
     DegeneratePointsError,
+    InputBoundError,
     NotFiniteWithinCapError,
     NotInvariantError,
     RootFieldUnsupportedError,
@@ -22,6 +23,7 @@ from equicurve.projline import (
     aut_of_lambda,
     classify_group,
     cross_ratio,
+    dedupe_points,
     fixed_point_form,
     fixed_points,
     group_closure,
@@ -186,6 +188,71 @@ def test_aut_of_lambda_oracle_equivalence():
         h1 = aut_of_lambda(pts)
         h2 = stabilizer_oracle(pts)
         assert same_group(h1, h2), f"trial {trial} disagreed"
+
+
+_SMALL_AND_ZERO_INFINITY_SETS = [
+    [P1Point(0, 1), pt(1), INF],
+    [pt(1), P1Point(W, 1), P1Point(W * W, 1)],
+    [pt(2), pt(-1), pt(CycNum(1) / 2)],
+    [P1Point(0, 1), pt(1), pt(-1), INF],
+    [pt(1), pt(I4), pt(-1), pt(-I4)],
+    [pt(1), pt(2), pt(3), pt(5)],
+    [P1Point(0, 1), INF, pt(1), pt(2)],
+    [P1Point(0, 1), pt(CycNum(1) / 2), INF, pt(2), pt(5)],
+    [P1Point(0, 1), INF, pt(1), pt(2), pt(3), pt(5)],
+    [P1Point(0, 1), pt(I4), INF, pt(1), pt(2)],
+]
+
+
+@pytest.mark.parametrize("pts", _SMALL_AND_ZERO_INFINITY_SETS,
+                         ids=["r3-0-1-oo", "r3-cube-roots", "r3-rational",
+                              "r4-0-1-m1-oo", "r4-fourth-roots", "r4-generic",
+                              "0-oo-in-base-r4", "0-oo-in-base-r5",
+                              "0-oo-in-base-r6", "0-oo-in-base-gauss"])
+def test_aut_of_lambda_matches_the_oracle_on_small_and_zero_infinity_sets(pts):
+    # r = 3 leaves no point outside the base triple to test; the last four
+    # sets put both 0 and infinity in the base triple
+    if pts in _SMALL_AND_ZERO_INFINITY_SETS[-4:]:
+        assert {P1Point(0, 1), INF} <= set(sort_points(pts)[:3])
+    h1, h2 = aut_of_lambda(pts), stabilizer_oracle(pts)
+    assert h1.kind == h2.kind and same_group(h1, h2)
+
+
+def test_aut_of_lambda_applies_no_candidate_to_the_base_triple(monkeypatch):
+    # the transport sends the base triple onto each candidate's image
+    # triple, so the search tests only the other r - 3 points
+    seen = []
+    apply = Moebius.apply
+
+    def recording(g, p):
+        seen.append(p)
+        return apply(g, p)
+
+    monkeypatch.setattr(Moebius, "apply", recording)
+    for pts in _SMALL_AND_ZERO_INFINITY_SETS:
+        seen.clear()
+        aut_of_lambda(pts)
+        base = sort_points(pts)[:3]
+        assert not any(p == b for p in seen for b in base), pts
+        assert (len(seen) == 0) == (len(pts) == 3)
+
+
+def test_aut_of_lambda_shares_equal_entries_within_a_group():
+    octa = standard_group("octahedral")
+    g3 = next(g for g in octa.elements if g.order() == 3)
+    orbit = dedupe_points([g.apply(fixed_points(g3)[0]) for g in octa.elements])
+    h = aut_of_lambda(orbit)
+    assert (str(h.kind), len(orbit)) == ("Octahedral", 8)
+    entries = [v for g in h.elements for v in g.entries()]
+    assert len({id(v) for v in entries}) == len(set(entries)) < len(entries)
+
+
+def test_aut_of_lambda_bounds_the_point_count():
+    n = projline.MAX_STABILIZER_POINTS
+    pts = [pt(k) for k in range(n + 1)]
+    with pytest.raises(InputBoundError,
+                       match=f"on {n + 1} distinct points exceeds {n}$"):
+        aut_of_lambda(pts + pts[:4])
 
 
 def test_sl2_pullback_examples():
