@@ -381,21 +381,13 @@ def verify_fixed_locus(sm: P1SelfMap, locus: HPoly2 | list[P1Point]) -> Certific
                       witness="the map is the identity; locus is all of P^1"):
         return cert
     sf = fix.squarefree_decomp()[0]
-    ok_fwd = _divides(target, sf)
+    # each divides the other iff its cofactor to their gcd is a constant
+    _, rest_target, rest_sf = target.cofactors(sf)
     cert.check("every fixed point lies in the prescribed set",
-               ok_fwd, witness=f"squarefree fixed form {sf}")
-    ok_bwd = _divides(sf, target)
+               rest_sf.degree == 0, witness=f"squarefree fixed form {sf}")
     cert.check("every prescribed point is fixed",
-               ok_bwd, witness=f"target {target}")
+               rest_target.degree == 0, witness=f"target {target}")
     return cert
-
-
-def _divides(divisor: HPoly2, multiple: HPoly2) -> bool:
-    try:
-        multiple.divexact(divisor)
-        return True
-    except (ZeroPolynomialError, ZeroDivisionError):
-        return False
 
 
 def verify_locus_invariance(h: FinSubgroupH, locus: list[P1Point]) -> Certificate:

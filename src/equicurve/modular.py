@@ -6,10 +6,13 @@ power basis of Q(zeta_m).  For a prime p = 1 (mod m), Phi_m splits into
 phi(m) linear factors mod p, and each of its roots r maps Z[zeta_m] onto
 F_p (zeta -> r).  Euclid runs in F_p[x] on Python ints at each root; the
 monic gcd and both cofactors are lifted back to the power basis by the
-inverse Vandermonde matrix of the roots, combined over primes by the CRT
-and read as rationals by rational reconstruction (Encarnacion, J. Symb.
-Comp. 20 (1995); Langemyr and McCallum, J. Symb. Comp. 8 (1989); von zur
-Gathen and Gerhard, Modern Computer Algebra, 5.10 and ch. 6).
+inverse Vandermonde matrix of the roots (in closed form, by Lagrange
+interpolation), combined over primes by the CRT and read as rationals by
+rational reconstruction (Encarnacion, J. Symb. Comp. 20 (1995); Langemyr
+and McCallum, J. Symb. Comp. 8 (1989); von zur Gathen and Gerhard, Modern
+Computer Algebra, 5.10 and ch. 6).  This module runs no elimination; the
+library's divisibility tests and Bezout coefficients (``UPoly.xgcd``) are
+read from the cofactors it returns.
 
 An image is good when p divides neither denominator and both leading
 coefficients are nonzero at the root.  Then the image of the gcd over
@@ -77,20 +80,20 @@ def primes(m: int):
 @lru_cache(maxsize=None)
 def _inverse_vandermonde(m: int, p: int) -> list:
     """The inverse mod p of the Vandermonde matrix that :func:`primes`
-    pairs with p (Gauss-Jordan); only a reconstruction needs it."""
+    pairs with p, in closed form (Lagrange): column i is the quotient
+    Phi_m(x) / (x - r_i) over its value Phi_m'(r_i) at the root r_i, both
+    by synthetic division.  Only a reconstruction needs it."""
     rows = next(vdm for q, vdm in _PRIMES[m] if q == p)
-    n = len(rows)
-    aug = [list(r) + [int(i == k) for k in range(n)] for i, r in enumerate(rows)]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if aug[i][col])
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = pow(aug[col][col], -1, p)
-        aug[col] = [v * inv % p for v in aug[col]]
-        for i in range(n):
-            f = aug[i][col]
-            if i != col and f:
-                aug[i] = [(v - f * w) % p for v, w in zip(aug[i], aug[col])]
-    return [r[n:] for r in aug]
+    roots = [row[1] for row in rows] if len(rows) > 1 else [1]
+    phi_m = [1]   # Phi_m mod p, descending
+    for r in roots:
+        phi_m = [(x - r * y) % p for x, y in zip(phi_m + [0], [0] + phi_m)]
+    cols = []
+    for r in roots:
+        q = _divmod(phi_m, [1, p - r], p)[0]
+        s = pow(_divmod(q, [1, p - r], p)[1][0], -1, p)
+        cols.append([c * s % p for c in reversed(q)])
+    return [list(row) for row in zip(*cols)]
 
 
 # ---------------------------------------------------------------------------

@@ -5,15 +5,15 @@ of a squarefree P is carried to the normal form x -> (x, 1/P(x), 0) by an
 explicit chain of four automorphisms of A^3, each with an exact inverse.
 The witnesses (bivariate polynomials expressing one generator of the
 coordinate ring in terms of two others) are found by bounded-degree exact
-linear algebra and re-verified independently of the solver.
+linear algebra (:func:`poly.solve_columns`) and re-verified independently
+of the solver.  The pole conditions are divisibilities and the Bezout
+clause an identity, all read from gcd cofactors (:mod:`modular`), so no
+step divides polynomials over the field.
 """
 from __future__ import annotations
 
-from itertools import zip_longest
-from math import lcm
-
 from .certificates import Certificate
-from .cyclotomic import _check_cap, _mul_rows, _widen, as_cyc, euler_phi
+from .cyclotomic import as_cyc
 from .errors import (
     DegenerateParamsError,
     InputBoundError,
@@ -21,7 +21,6 @@ from .errors import (
     WitnessNotFoundError,
     ZeroPolynomialError,
 )
-from .linalg import solve_linear
 from .poly import (
     MPoly,
     UPoly,
@@ -31,6 +30,7 @@ from .poly import (
     _over_common_denominator,
     poly3_compose,
     poly3_identity,
+    solve_columns,
 )
 from .mpoly import _mpoly
 from .projline import Moebius
@@ -117,7 +117,7 @@ class PlanarEmbedding:
         for name, f in (("Q", Q), ("R", R)):
             if f.den.degree > 0:
                 sf = f.den.squarefree_part()
-                if not (P % sf).is_zero():
+                if P.cofactors(sf)[2].degree > 0:   # sf does not divide P
                     raise DegenerateParamsError(
                         f"{name} has a pole away from the removed points")
         self.P = P
@@ -155,28 +155,11 @@ def subalgebra_witness(target: URatFun, gens: tuple[URatFun, URatFun],
                  for i in range(tot + 1) for j in (tot - i,)]
         cols = [q1_p[i] * q2_p[d - i] * r1_p[j] * r2_p[d - j] * target.den
                 for i, j in monos]
-        rhs = target.num * q2_p[d] * r2_p[d]
-        m = lcm(rhs.m, *(c.m for c in cols))
-        _check_cap(m)   # no single product may have joined all the fields
-        phi = euler_phi(m)
-        # over Q(zeta_m) each unknown is written in the power basis: its
-        # k-th rational coordinate multiplies the numerators of c * zeta^k
-        units = [[int(i == k) for i in range(phi)] for k in range(phi)]
-        expanded = [c.nums for c in cols] if phi == 1 else [
-            _mul_rows(wide, phi, u, phi, m)
-            for wide in (_widen(c.nums, c.m, m) for c in cols) for u in units]
-        system = list(zip_longest(*expanded, _widen(rhs.nums, rhs.m, m),
-                                  fillvalue=0))
-        sol = solve_linear([r[:-1] for r in system], [r[-1] for r in system])
+        sol = solve_columns(cols, target.num * q2_p[d] * r2_p[d])
         if sol is None:
             continue
-        # the coordinates solved for are over den(c) / den(rhs), so each
-        # row takes its column's denominator and all share den * den(rhs)
-        nums, den = sol
-        witness = _mpoly(variables, m, {
-            mono: tuple([v * c.den for v in row])
-            for mono, c, row in zip(monos, cols, zip(*[iter(nums)] * phi))},
-            den * rhs.den)
+        m, rows, den = sol
+        witness = _mpoly(variables, m, dict(zip(monos, rows)), den)
         # soundness re-check, independently of the solver
         if witness.substitute((q, r)) == target:
             return witness
@@ -212,7 +195,8 @@ def normalize_planar(e: PlanarEmbedding, degree_cap: int = 12):
         if a == 0:
             continue  # (X, aY+bZ, Z) must stay invertible
         qprime = as_cyc(a) * e.Q + as_cyc(b) * e.R
-        poles = qprime.den.degree > 0 and (qprime.den % e.P.monic()).is_zero()
+        poles = (qprime.den.degree > 0
+                 and qprime.den.cofactors(e.P)[2].degree == 0)
         if poles:
             break
     else:

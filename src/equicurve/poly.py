@@ -32,6 +32,7 @@ from .cyclotomic import (CycNum, _check_cap, _lift, _mul_nums, _mul_rows,
                          _normal, _power, _quotient, _reduce, _unpack, _widen,
                          _width, as_cyc, euler_phi)
 from .errors import DegreeMismatchError, ZeroPolynomialError
+from .linalg import solve_linear
 
 _C0 = CycNum(0)
 _SCALARS = (int, Fraction, CycNum)
@@ -296,19 +297,21 @@ class UPoly:
         return cofactors(self, other)
 
     def xgcd(self, other: "UPoly"):
-        """(g, u, v) with u*self + v*other = g, g monic."""
-        r0, r1 = self, other
-        u0, u1 = _U1, _U0
-        v0, v1 = _U0, _U1
-        while not r1.is_zero():
-            q, r = r0.divmod(r1)
-            r0, r1 = r1, r
-            u0, u1 = u1, u0 - q * u1
-            v0, v1 = v1, v0 - q * v1
-        if r0.is_zero():
-            return r0, u0, v0
-        inv = r0.lead().inverse()
-        return r0.monic(), u0 * inv, v0 * inv
+        """(g, u, v) with u*self + v*other = g, g monic, as Euclid gives
+        them: for the cofactors a and b of g, the one (u, v) with
+        u*a + v*b = 1, deg u < deg b and deg v < deg a, solved on the
+        Sylvester columns; (0, 1, 0) if both are zero."""
+        g, a, b = self.cofactors(other)
+        if not other.nums:
+            inv = self.lead().inverse() if self.nums else 1
+            return g, UPoly.const(inv), _U0
+        if not self.nums or a.degree == b.degree == 0:
+            return g, _U0, UPoly.const(b.lead().inverse())
+        m, rows, den = solve_columns(
+            [a * _UX ** i for i in range(b.degree)]
+            + [b * _UX ** j for j in range(a.degree)], _U1)
+        flat, k = [n for row in rows for n in row], b.degree * euler_phi(m)
+        return g, _poly(m, flat[:k], den), _poly(m, flat[k:], den)
 
     def squarefree_part(self) -> "UPoly":
         if self.is_zero():
@@ -346,6 +349,32 @@ class UPoly:
 # 0, 1 and x are shared, as the values kept alive (inputs, results) hold
 # them often; no operation changes a UPoly or URatFun in place
 _U0, _U1, _UX = _make(1, ()), _make(1, (1,)), _make(1, (0, 1))
+
+
+def solve_columns(cols: list, rhs: UPoly):
+    """The x with sum_i x_i cols[i] = rhs over Q(zeta_m), m the joint field
+    of the UPolys: (m, rows, den), for each unknown its phi(m) numerators
+    over one den > 0, free unknowns zero; None if there is no solution.
+    Over Q(zeta_m) each unknown is written in the power basis, its k-th
+    rational coordinate multiplying the numerators of the column times
+    zeta^k, and the system over Q goes to :func:`linalg.solve_linear`."""
+    m = lcm(rhs.m, *(c.m for c in cols))
+    _check_cap(m)   # no single product may have joined all the fields
+    phi = euler_phi(m)
+    units = [[int(i == k) for i in range(phi)] for k in range(phi)]
+    expanded = [c.nums for c in cols] if phi == 1 else [
+        _mul_rows(wide, phi, u, phi, m)
+        for wide in (_widen(c.nums, c.m, m) for c in cols) for u in units]
+    system = list(zip_longest(*expanded, _widen(rhs.nums, rhs.m, m),
+                              fillvalue=0))
+    sol = solve_linear([r[:-1] for r in system], [r[-1] for r in system])
+    if sol is None:
+        return None
+    # the coordinates solved for are over den(c) / den(rhs), so each row
+    # takes its column's denominator and all share den * den(rhs)
+    nums, den = sol
+    return m, [tuple([v * c.den for v in row]) for c, row in
+               zip(cols, zip(*[iter(nums)] * phi))], den * rhs.den
 
 
 def _as_upoly(v) -> UPoly | None:

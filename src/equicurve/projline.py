@@ -13,7 +13,7 @@ from collections import namedtuple
 from itertools import permutations
 from math import lcm
 
-from .cyclotomic import CycNum, as_cyc, try_sqrt
+from .cyclotomic import CycNum, as_cyc, euler_phi, try_sqrt
 from .errors import (
     DegeneratePointsError,
     InputBoundError,
@@ -348,6 +348,14 @@ def minimal_generators(elements: list[Moebius]) -> list[Moebius]:
 # 12 s (r = 19; r = 21, 22 and 24 took 7, 5.5 and 4.4-6.3 s), and r = 23
 # took 34 s (2-vCPU x86-64 VM, Python 3.11)
 MAX_STABILIZER_POINTS = 22
+# the most work r(r-1)(r-2) phi^4 of one search, phi the degree of the
+# points' joint field: each candidate is normalized by one inverse, which
+# multiplies phi - 1 conjugates of phi^2 coefficient products whose sizes
+# grow with phi.  The 19th roots of unity (6.1e8) took 8-12 s, three
+# points over Q(zeta_101) (6.0e8) 10-11.5 s, the group of order 6 they
+# find taking most of it, and three over Q(zeta_127) (1.5e9) 35 s; 22 of
+# the 23rd roots (2.2e9) took 21-25 s (2-vCPU x86-64 VM, Python 3.11)
+MAX_STABILIZER_WORK = 64 * 10 ** 7
 
 
 def _triple_matrix(p1: P1Point, p2: P1Point, p3: P1Point):
@@ -372,9 +380,10 @@ def aut_of_lambda(points: list[P1Point], cap: int = 120) -> FinSubgroupH:
     the r(r-1)(r-2) candidates is tested on the other r - 3 points only, and
     the time grows about as r^4: on the r-th roots of unity, r = 8, 12 and
     16 take 0.06 s, 0.27 s and 1.1 s (best of 3, 2-vCPU x86-64 VM, Python
-    3.11).  More than ``MAX_STABILIZER_POINTS`` distinct points raise
-    :class:`InputBoundError` before any search, and more than ``cap`` maps
-    raise :class:`NotFiniteWithinCapError`.
+    3.11).  More than ``MAX_STABILIZER_POINTS`` distinct points, or work
+    r(r-1)(r-2) phi^4 above ``MAX_STABILIZER_WORK`` for points whose joint
+    field has degree phi, raise :class:`InputBoundError` before any search,
+    and more than ``cap`` maps raise :class:`NotFiniteWithinCapError`.
     """
     pts = dedupe_points(points)
     if len(pts) < 3:
@@ -384,6 +393,11 @@ def aut_of_lambda(points: list[P1Point], cap: int = 120) -> FinSubgroupH:
         raise InputBoundError(
             f"stabilizer search on {len(pts)} distinct points exceeds "
             f"{MAX_STABILIZER_POINTS}")
+    r, phi = len(pts), euler_phi(lcm(*(p.a.m for p in pts)))
+    if r * (r - 1) * (r - 2) * phi ** 4 > MAX_STABILIZER_WORK:
+        raise InputBoundError(
+            f"stabilizer search on {r} points over a field of degree {phi}: "
+            f"r(r-1)(r-2) phi^4 exceeds {MAX_STABILIZER_WORK}")
     pts = sort_points(pts)
     members = set(pts)
     base_m = _triple_matrix(*pts[:3])

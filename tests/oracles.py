@@ -419,6 +419,23 @@ def upoly_gcd_euclid(a: UPoly, b: UPoly) -> UPoly:
     return a.monic()
 
 
+def upoly_xgcd_euclid(a: UPoly, b: UPoly):
+    """(g, u, v) as ``UPoly.xgcd`` computed them before the one solver:
+    the extended Euclid over CycNum, made monic at the end."""
+    r0, r1 = a, b
+    u0, u1 = UPoly.const(1), UPoly.const(0)
+    v0, v1 = UPoly.const(0), UPoly.const(1)
+    while not r1.is_zero():
+        q, r = r0.divmod(r1)
+        r0, r1 = r1, r
+        u0, u1 = u1, u0 - q * u1
+        v0, v1 = v1, v0 - q * v1
+    if r0.is_zero():
+        return r0, u0, v0
+    inv = r0.lead().inverse()
+    return r0.monic(), u0 * inv, v0 * inv
+
+
 # -- multivariate polynomials as dicts of CycNum coefficients ------------------
 # The reference for the integer rows of MPoly: exponent tuple -> nonzero
 # CycNum, every operation one CycNum operation at a time, each in the field

@@ -289,6 +289,13 @@ _AUT = ["aut", "--lambda", "[0:1],[1:1],[1:0],[2:1]"]
 _OVER_POINT_BOUND = ",".join(f"[{k}:1]" for k in range(23))
 _POINT_BOUND_MESSAGE = ("parse error: stabilizer search on 23 distinct points "
                         "exceeds 22")
+# six of the 127th roots of unity: few points, but over a field of degree
+# 126, so over the work bound of the stabilizer search
+_OVER_WORK_BOUND = ",".join(
+    "[cyc(127; " + ", ".join(["0"] * k + ["1"]) + "):1]" for k in range(6))
+_WORK_BOUND_MESSAGE = ("parse error: stabilizer search on 6 points over a "
+                       "field of degree 126: r(r-1)(r-2) phi^4 exceeds "
+                       "640000000")
 _PLANAR = ["planar-normalize", "--P", "x", "--Q", "1/x", "--R", "x + 1/x"]
 _PRESET = ["preset", "--kind", "cyclic", "--pairs", "(1, 2)"]
 _COR25 = ["cor25", "--a", "1"]
@@ -342,13 +349,16 @@ _EXTEND = ["verify-extension", "--F", "X; Y; Z", "--tau", "x; 1/(x^2 - x); 0",
     (["aut", "--lambda", _OVER_POINT_BOUND], _POINT_BOUND_MESSAGE),
     (["delta", "--lambda", _OVER_POINT_BOUND], _POINT_BOUND_MESSAGE),
     (["embed", "--lambda", _OVER_POINT_BOUND], _POINT_BOUND_MESSAGE),
+    (["aut", "--lambda", _OVER_WORK_BOUND], _WORK_BOUND_MESSAGE),
+    (["delta", "--lambda", _OVER_WORK_BOUND], _WORK_BOUND_MESSAGE),
 ], ids=["conductor-cap", "group-cap", "cap", "k", "n", "k-range", "n-range",
         "n-huge", "n-above-group-cap", "n-tetrahedral", "n-missing-cyclic",
         "n-missing-dihedral", "huge-exponent",
         "chained-exponent", "nested-exponent", "chained-constant-exponent",
         "many-terms-power", "many-terms-product", "substitution-degree",
         "witness-degree-cap", "nesting-depth", "aut-point-bound",
-        "delta-point-bound", "embed-point-bound"])
+        "delta-point-bound", "embed-point-bound", "aut-work-bound",
+        "delta-work-bound"])
 def test_bad_integer_flags_exit_2_with_one_line(argv, message, capsys):
     assert run(argv) == (2, message)
     assert main(argv) == 2

@@ -270,6 +270,21 @@ def test_verify_fixed_locus_failure_for_identity_map():
     assert not cert.ok
 
 
+@pytest.mark.parametrize("locus, failing", [
+    ([pt(1)], "every fixed point lies in the prescribed set"),
+    ([P1Point(0, 1), INF, pt(1), pt(-1)], "every prescribed point is fixed"),
+], ids=["fixed-locus-contains-target", "fixed-locus-inside-target"])
+def test_verify_fixed_locus_fails_only_the_matching_clause(locus, failing):
+    # [x : y] -> [x^2 : y^2] fixes exactly 0, 1 and infinity: one point of
+    # the set short, or one extra, fails one clause and passes the other
+    from equicurve.equivariant import P1SelfMap
+    sm = P1SelfMap.from_pair(HPoly2.term(1, 2, 0), HPoly2.term(1, 0, 2))
+    assert verify_fixed_locus(sm, [P1Point(0, 1), INF, pt(1)]).ok
+    cert = verify_fixed_locus(sm, locus)
+    assert [cl.claim for cl in cert.clauses if not cl.ok] == [failing]
+    assert len(cert.clauses) == 3
+
+
 def test_per_orbit_identity_always_holds():
     rng = random.Random(21)
     for h, g in ((CYCLIC2, G2), (TETRA, GT)):

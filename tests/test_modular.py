@@ -2,7 +2,9 @@
 Euclid over CycNum: planted common factors, denominators, mixed
 conductors, unlucky primes, the end of the prime stream, zero and constant
 operands, a field over the conductor cap, and no pair, coprime or not,
-that uses field inversions."""
+that uses field inversions.  Also the Bezout coefficients of
+``UPoly.xgcd`` against the extended Euclid, and the inverse Vandermonde
+matrices of the reconstruction."""
 from fractions import Fraction
 from unittest import mock
 
@@ -15,7 +17,7 @@ from equicurve.cyclotomic import (CycNum, euler_phi, root_of_unity,
                                   set_conductor_cap)
 from equicurve.errors import ConductorCapError
 from equicurve.poly import HPoly2, UPoly
-from oracles import upoly_gcd_euclid
+from oracles import upoly_gcd_euclid, upoly_xgcd_euclid
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
 FIELDS = (1, 4, 3, 5, 8, 12)   # Q, Q(i), Q(zeta_3), Q(zeta_5), Q(zeta_8), Q(zeta_12)
@@ -262,3 +264,60 @@ def test_a_gcd_over_the_conductor_cap_is_a_stated_error():
                 "--phi", "[[1,0],[0,1]]", "--conductor-cap", "24"]) == (
         3, "construction error: conductor 77 needs a field degree above cap "
            "24; raise it with --conductor-cap")
+
+
+@st.composite
+def sharing(draw, m):
+    """(c p, c q) over Q(zeta_m), entries at conductors dividing m, with c
+    of degree 1 to 4: a nonconstant common factor."""
+    fields = [k for k in FIELDS if m % k == 0]
+    c = draw(upolys(fields, 1, 4))
+    return (c * draw(upolys(fields, 0, 6)), c * draw(upolys(fields, 0, 6)))
+
+
+@pytest.mark.parametrize("m", (1, 4, 5, 12))
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(data=st.data())
+def test_xgcd_is_the_extended_euclid(m, data):
+    # the Sylvester solve returns exactly Euclid's (g, u, v)
+    a, b = data.draw(sharing(m))
+    got = a.xgcd(b)
+    assert got == upoly_xgcd_euclid(a, b)
+    g, u, v = got
+    assert g.degree >= 1 and u * a + v * b == g
+    if max(a.degree, b.degree) > g.degree:   # not both cofactors constant
+        assert u.degree < b.degree - g.degree
+        assert v.degree < a.degree - g.degree
+
+
+@pytest.mark.parametrize("a, b, want", [
+    (UPoly(), UPoly(), (UPoly(), UPoly.const(1), UPoly())),
+    (_B, UPoly(), (_B.monic(), UPoly.const(_B.lead().inverse()), UPoly())),
+    (UPoly(), _B, (_B.monic(), UPoly(), UPoly.const(_B.lead().inverse()))),
+    (_B * _C, _B * 3, (_B.monic(), UPoly(),
+                       UPoly.const((3 * _B.lead()).inverse()))),
+    (_C, UPoly.const(5),
+     (UPoly.const(1), UPoly(), UPoly.const(Fraction(1, 5)))),
+    (_C, _B, (UPoly.const(1), UPoly.const(_C.lead().inverse()), UPoly())),
+    (_B, UPoly.x(), (UPoly.const(1), UPoly.const(Fraction(3, 2)),
+                     UPoly([-Fraction(3, 2) * _Z5, -Fraction(9, 2) * _Z5]))),
+], ids=["0,0", "b,0", "0,b", "associates", "c,c", "c,b", "b,x"])
+def test_xgcd_edge_cases(a, b, want):
+    # zero operands and constant cofactors keep Euclid's conventions
+    got = a.xgcd(b)
+    assert got == want == upoly_xgcd_euclid(a, b)
+    assert got[1] * a + got[2] * b == got[0]
+
+
+@pytest.mark.parametrize("m", (1, 3, 4, 5, 8, 12, 20, 61))
+def test_inverse_vandermonde_inverts_mod_p(m):
+    # V V^-1 = I mod p for the first two primes of each field
+    stream = modular.primes(m)
+    for _ in range(2):
+        p, vdm = next(stream)
+        inv = modular._inverse_vandermonde(m, p)
+        n = euler_phi(m)
+        assert len(vdm) == len(inv) == n
+        assert [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*inv)]
+                for row in vdm] == [[int(i == k) for k in range(n)]
+                                    for i in range(n)]

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from equicurve import planar
+from equicurve import planar, poly
 from equicurve.cyclotomic import CycNum, as_cyc, set_conductor_cap
 from equicurve.errors import (
     ConductorCapError,
@@ -37,7 +37,8 @@ from equicurve.poly import (
     poly3_identity,
     poly3_var,
 )
-from equicurve.projline import Moebius
+from equicurve.embed3 import build_embedding, standard_group
+from equicurve.projline import Moebius, P1Point, sort_points
 
 from oracles import subalgebra_witness_field
 
@@ -116,7 +117,7 @@ def test_witness_solve_makes_no_cycnum_operation(monkeypatch):
     # the systems go to the solver as integer rows, over Q and over Q(zeta_5)
     calls, solves = [], []
     solving = False
-    original_solve = planar.solve_linear
+    original_solve = poly.solve_linear
 
     def solve(*args):
         nonlocal solving
@@ -136,12 +137,39 @@ def test_witness_solve_makes_no_cycnum_operation(monkeypatch):
 
     for name in ("__mul__", "__rmul__", "_plus", "inverse", "__truediv__"):
         monkeypatch.setattr(CycNum, name, counted(name, getattr(CycNum, name)))
-    monkeypatch.setattr(planar, "solve_linear", solve)
+    monkeypatch.setattr(poly, "solve_linear", solve)
     x = parse_ratfun("x")
     for q in ("2/x", "cyc(5;0,1)/x"):
         gens = (parse_ratfun(q), parse_ratfun("x + 1/(3*x)"))
         assert subalgebra_witness(x, gens, 3) is not None
     assert solves and not calls, f"{len(calls)} CycNum operations"
+
+
+def test_no_library_path_divides_over_the_field(monkeypatch):
+    # gcds, Bezout coefficients and divisibility all come from the modular
+    # cofactors: with long division over CycNum refused (it is behind %
+    # and divexact too), normalization, connection, the pole checks and
+    # an embedding of a dihedral orbit all complete
+    def refuse(*args):
+        raise AssertionError("a library path divided over the field")
+
+    monkeypatch.setattr(UPoly, "divmod", refuse)
+    one = PlanarEmbedding(parse_upoly("x"), parse_ratfun("1/x"),
+                          parse_ratfun("x + 1/x"))
+    two = PlanarEmbedding(parse_upoly("x^2 - x"), parse_ratfun("1/(x^2 - x)"),
+                          parse_ratfun("x"))
+    moved = PlanarEmbedding(parse_upoly("x^2 - x"),
+                            parse_ratfun("1/(x^2 - x) + 1"),
+                            parse_ratfun("x + 1/(x^2 - x)"))
+    assert normalize_planar(one)[1].ok and normalize_planar(two)[1].ok
+    assert connect_planar(two, moved)[1].ok
+    with pytest.raises(DegenerateParamsError, match="R has a pole"):
+        PlanarEmbedding(parse_upoly("x^2 - x"), parse_ratfun("1/x"),
+                        parse_ratfun("1/(x + 1)"))
+    h = standard_group("dihedral", 3)
+    orbit = sort_points({g.apply(P1Point(2, 1)) for g in h.elements})
+    emb, cert = build_embedding(h, points=orbit)
+    assert len(orbit) == 6 and cert.ok
 
 
 def test_normalize_worked_example_one():

@@ -255,6 +255,47 @@ def test_aut_of_lambda_bounds_the_point_count():
         aut_of_lambda(pts + pts[:4])
 
 
+class _Searched(Exception):
+    pass
+
+
+def _reaches_search(monkeypatch, pts) -> bool:
+    # aut_of_lambda sorts the points right after its bounds, so a refused
+    # sort_points tells that both bounds passed, without the search
+    def searched(_):
+        raise _Searched
+
+    monkeypatch.setattr(projline, "sort_points", searched)
+    try:
+        aut_of_lambda(pts)
+    except _Searched:
+        return True
+    return False
+
+
+def test_aut_of_lambda_bounds_the_work_by_field_degree(monkeypatch):
+    # the 19th roots of unity: r = 19 over Q(zeta_19), degree 18, work
+    # 5814 * 18^4 = 610344288, just under the bound; with 0 too,
+    # 6840 * 18^4 = 718035840, just over it
+    assert projline.MAX_STABILIZER_WORK == 64 * 10 ** 7
+    pts = [P1Point(root_of_unity(19, k), 1) for k in range(19)]
+    assert _reaches_search(monkeypatch, pts)
+    with pytest.raises(InputBoundError, match=(
+            r"^stabilizer search on 20 points over a field of degree 18: "
+            r"r\(r-1\)\(r-2\) phi\^4 exceeds 640000000$")):
+        aut_of_lambda(pts + [pt(0)])
+    # four of the 61st roots are within it, five are not; three points
+    # whose field is Q(zeta_101) are within it, over Q(zeta_127) not
+    roots61 = [P1Point(root_of_unity(61, k), 1) for k in range(5)]
+    assert _reaches_search(monkeypatch, roots61[:4])
+    with pytest.raises(InputBoundError, match="on 5 points .* degree 60"):
+        aut_of_lambda(roots61)
+    assert _reaches_search(monkeypatch, [P1Point(root_of_unity(101), 1),
+                                         pt(0), INF])
+    with pytest.raises(InputBoundError, match="on 3 points .* degree 126"):
+        aut_of_lambda([P1Point(root_of_unity(127), 1), pt(0), INF])
+
+
 def test_sl2_pullback_examples():
     for n in (2, 3, 4, 6):
         h = group_closure([Moebius(root_of_unity(n), 0, 0, 1)])
