@@ -175,14 +175,18 @@ class Moebius(_Mat2):
         Powers are tried up to max(6, 2M), M the lcm of the entries'
         conductors, which bounds every finite order: an element of order n
         has tr^2/det = zeta_n + 1/zeta_n + 2 in Q(zeta_M), and that field
-        holds zeta_n + 1/zeta_n only for n <= 6 or n dividing 2M.
+        holds zeta_n + 1/zeta_n only for n <= 6 or n dividing 2M.  The
+        powers are kept unnormalized: the k-th is the identity of PGL(2)
+        exactly when it is a scalar matrix.
         """
-        bound = max(6, 2 * lcm(*(v.m for v in self.entries())))
-        g = self
+        g = self.entries()
+        bound = max(6, 2 * lcm(*(v.m for v in g)))
+        power = g
         for k in range(1, bound + 1):
-            if g.is_identity():
+            a, b, c, d = power
+            if not b and not c and a == d:
                 return k
-            g = g * self
+            power = _mat_mul(power, g)
         return None
 
 
@@ -343,18 +347,19 @@ def minimal_generators(elements: list[Moebius]) -> list[Moebius]:
 
 
 # the most distinct points aut_of_lambda searches: its work grows about as
-# r^4 times the cost of a product in the points' field.  On the r-th roots
+# r^3 times the cost of an inverse in the points' field.  On the r-th roots
 # of unity, the slowest family measured, every r up to 22 took at most about
-# 12 s (r = 19; r = 21, 22 and 24 took 7, 5.5 and 4.4-6.3 s), and r = 23
-# took 34 s (2-vCPU x86-64 VM, Python 3.11)
+# 4.5 s (r = 19; r = 21, 22 and 24 took 2.8, 2.1 and 2.1 s), and r = 23
+# took 10.4 s (2-vCPU x86-64 VM, Python 3.11)
 MAX_STABILIZER_POINTS = 22
 # the most work r(r-1)(r-2) phi^4 of one search, phi the degree of the
-# points' joint field: each candidate is normalized by one inverse, which
-# multiplies phi - 1 conjugates of phi^2 coefficient products whose sizes
-# grow with phi.  The 19th roots of unity (6.1e8) took 8-12 s, three
-# points over Q(zeta_101) (6.0e8) 10-11.5 s, the group of order 6 they
-# find taking most of it, and three over Q(zeta_127) (1.5e9) 35 s; 22 of
-# the 23rd roots (2.2e9) took 21-25 s (2-vCPU x86-64 VM, Python 3.11)
+# points' joint field: each candidate normalizes the image of one point by
+# one inverse, which multiplies phi - 1 conjugates of phi^2 coefficient
+# products whose sizes grow with phi.  The 19th roots of unity (6.1e8)
+# took 4.5 s, three points over Q(zeta_101) (6.0e8) 4.4-4.9 s, the
+# generators of the group of order 6 they find taking most of it, and three
+# over Q(zeta_127) (1.5e9) 13.6 s; 22 of the 23rd roots (2.2e9) took 8.8 s
+# (2-vCPU x86-64 VM, Python 3.11)
 MAX_STABILIZER_WORK = 64 * 10 ** 7
 
 
@@ -366,21 +371,18 @@ def _triple_matrix(p1: P1Point, p2: P1Point, p3: P1Point):
     return (lam * p1.b, -lam * p1.a, mu * p3.b, -mu * p3.a)
 
 
-def _transport(src_m, dst: tuple[P1Point, P1Point, P1Point]) -> Moebius:
-    # the map sending the triple whose _triple_matrix is src_m to dst
-    return Moebius(*_mat_mul(_adjugate(_triple_matrix(*dst)), src_m))
-
-
 def aut_of_lambda(points: list[P1Point], cap: int = 120) -> FinSubgroupH:
     """All Moebius maps preserving the set, found by triple transport.
 
     Each ordered triple of distinct points is a candidate image of one fixed
     base triple; three-point transitivity pins the map, set preservation
     filters.  The transport sends the base triple onto its image, so each of
-    the r(r-1)(r-2) candidates is tested on the other r - 3 points only, and
-    the time grows about as r^4: on the r-th roots of unity, r = 8, 12 and
-    16 take 0.06 s, 0.27 s and 1.1 s (best of 3, 2-vCPU x86-64 VM, Python
-    3.11).  More than ``MAX_STABILIZER_POINTS`` distinct points, or work
+    the r(r-1)(r-2) candidates is tested on the other r - 3 points only:
+    its unnormalized matrix sends the first of them, and only a candidate
+    whose image lies in the set becomes a :class:`Moebius` map and meets the
+    rest.  On the r-th roots of unity, r = 8, 12 and 16 take 0.044 s,
+    0.19 s and 0.63 s (best of 3, 2-vCPU x86-64 VM, Python 3.11).  More
+    than ``MAX_STABILIZER_POINTS`` distinct points, or work
     r(r-1)(r-2) phi^4 above ``MAX_STABILIZER_WORK`` for points whose joint
     field has degree phi, raise :class:`InputBoundError` before any search,
     and more than ``cap`` maps raise :class:`NotFiniteWithinCapError`.
@@ -401,10 +403,17 @@ def aut_of_lambda(points: list[P1Point], cap: int = 120) -> FinSubgroupH:
     pts = sort_points(pts)
     members = set(pts)
     base_m = _triple_matrix(*pts[:3])
-    rest = pts[3:]
+    first, rest = (pts[3], pts[4:]) if r > 3 else (None, [])
     found: list[Moebius] = []
     for dst in permutations(pts, 3):
-        g = _transport(base_m, dst)
+        # unnormalized; sends the base triple onto dst
+        m = _mat_mul(_adjugate(_triple_matrix(*dst)), base_m)
+        if first is not None:
+            a, b, c, d = m
+            if P1Point(a * first.a + b * first.b,
+                       c * first.a + d * first.b) not in members:
+                continue
+        g = Moebius(*m)
         if all(g.apply(p) in members for p in rest):
             found.append(g)
             if len(found) > cap:

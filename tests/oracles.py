@@ -9,6 +9,7 @@ identities are evaluated pointwise at many rational points.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from equicurve.cyclotomic import CycNum
 from equicurve.equivariant import EndoPair, act_on_pair, contract
@@ -77,6 +78,18 @@ def stabilizer_oracle(points: list[P1Point], cap: int = 120) -> FinSubgroupH:
     elements = sort_moebius(found)
     return FinSubgroupH(elements, minimal_generators(elements),
                         classify_group(elements))
+
+
+def moebius_order_loop(g: Moebius) -> int | None:
+    """Order of g by normalized powers, each a ``Moebius`` product, up to the
+    bound of ``Moebius.order`` (max(6, 2M), M the lcm of the conductors)."""
+    bound = max(6, 2 * lcm(*(v.m for v in g.entries())))
+    power = g
+    for k in range(1, bound + 1):
+        if power.is_identity():
+            return k
+        power = power * g
+    return None
 
 
 def same_group(h1: FinSubgroupH, h2: FinSubgroupH) -> bool:

@@ -250,6 +250,31 @@ def test_cli_process_loads_json_only_for_a_json_report():
     assert proc.stdout.splitlines() == ["", "", "json"]
 
 
+_LAZY = """
+import sys
+import equicurve
+print(*sorted(m for m in sys.modules if m.startswith("equicurve.")))
+for name in equicurve.__all__:
+    value = getattr(equicurve, name)
+    module = sys.modules["equicurve." + equicurve._EXPORTS[name]]
+    assert value is getattr(module, name), name
+assert set(equicurve.__all__) | {"cli", "projline"} <= set(dir(equicurve))
+from equicurve import cli
+print(cli.__name__)
+"""
+
+
+def test_package_import_loads_no_submodule():
+    # the package resolves its public names and submodules on first use
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", _LAZY], capture_output=True, text=True,
+        timeout=120, env=dict(os.environ, PYTHONPATH=path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["", "equicurve.cli"]
+
+
 def test_exit_statuses_documented():
     # 0 = pass, 1 = certificate failure, 2 = parse, 3 = construction
     assert run(["cor25", "--k", "1", "--a", "1"])[0] == 0

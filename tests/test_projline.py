@@ -1,7 +1,9 @@
 import random
+import sys
+from itertools import permutations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from equicurve import projline
 from equicurve.cyclotomic import CycNum, root_of_unity
@@ -30,9 +32,11 @@ from equicurve.projline import (
     minimal_generators,
     orbit_decompose,
     sl2_pullback,
+    sort_moebius,
     sort_points,
 )
-from oracles import moebius_through, same_group, stabilizer_oracle
+from oracles import (moebius_order_loop, moebius_through, same_group,
+                     stabilizer_oracle)
 
 W = root_of_unity(3)
 I4 = root_of_unity(4)
@@ -218,23 +222,57 @@ def test_aut_of_lambda_matches_the_oracle_on_small_and_zero_infinity_sets(pts):
     assert h1.kind == h2.kind and same_group(h1, h2)
 
 
-def test_aut_of_lambda_applies_no_candidate_to_the_base_triple(monkeypatch):
-    # the transport sends the base triple onto each candidate's image
-    # triple, so the search tests only the other r - 3 points
-    seen = []
-    apply = Moebius.apply
+def _search_calls(monkeypatch, pts):
+    """The Moebius and P1Point constructions made by the search loop itself
+    (not by the closure and classification it calls), and every point any
+    Moebius map is applied to, during one ``aut_of_lambda(pts)``."""
+    built, images, seen = [], [], []
+    search = aut_of_lambda.__code__
+    init_m, init_p, apply = Moebius.__init__, P1Point.__init__, Moebius.apply
+
+    def moebius(g, *entries):
+        if sys._getframe(1).f_code is search:
+            built.append(entries)
+        init_m(g, *entries)
+
+    def point(p, *coords):
+        if sys._getframe(1).f_code is search:
+            images.append(coords)
+        init_p(p, *coords)
 
     def recording(g, p):
         seen.append(p)
         return apply(g, p)
 
-    monkeypatch.setattr(Moebius, "apply", recording)
-    for pts in _SMALL_AND_ZERO_INFINITY_SETS:
-        seen.clear()
+    with monkeypatch.context() as m:
+        m.setattr(Moebius, "__init__", moebius)
+        m.setattr(P1Point, "__init__", point)
+        m.setattr(Moebius, "apply", recording)
         aut_of_lambda(pts)
-        base = sort_points(pts)[:3]
-        assert not any(p == b for p in seen for b in base), pts
-        assert (len(seen) == 0) == (len(pts) == 3)
+    return built, images, seen
+
+
+def test_aut_of_lambda_builds_maps_only_for_first_image_members(monkeypatch):
+    # each candidate sends the base triple onto its image triple, so no
+    # base point is evaluated; the first point off it is sent through the
+    # unnormalized matrix, one image per candidate, and only a candidate
+    # whose image is a member becomes a Moebius map and meets the others
+    generic = [pt(1), pt(2), pt(3), pt(5), pt(8), pt(13), pt(21)]
+    for pts in _SMALL_AND_ZERO_INFINITY_SETS + [generic]:
+        built, images, seen = _search_calls(monkeypatch, pts)
+        srt = sort_points(pts)
+        candidates = list(permutations(srt, 3))
+        if len(srt) == 3:
+            assert (len(built), images, seen) == (6, [], []), pts
+            continue
+        members = set(srt)
+        hits = [dst for dst in candidates if moebius_through(
+            tuple(srt[:3]), dst).apply(srt[3]) in members]
+        assert len(images) == len(candidates), pts
+        assert len(built) == len(hits), pts
+        assert set(seen) <= set(srt[4:]), pts
+    # on the generic rationals, 4 of the 210 candidates become maps
+    assert (len(built), len(candidates)) == (4, 210)
 
 
 def test_aut_of_lambda_shares_equal_entries_within_a_group():
@@ -479,3 +517,42 @@ def test_stabilizer_of_moved_set_is_conjugate(indices, entries):
     moved = aut_of_lambda([g.apply(p) for p in pts])
     assert moved.kind == h.kind
     assert set(moved.elements) == {g * e * g.inverse() for e in h.elements}
+
+
+# Q, Q(zeta_3), Q(i), 0 and infinity
+_MIXED = [pt(0), INF, pt(-2), pt(-1), pt(1), pt(2), pt(CycNum(1) / 2), pt(3),
+          pt(W), pt(W * W), pt(1 + W), pt(2 * W), pt(I4), pt(-I4), pt(1 + I4)]
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(st.lists(st.sampled_from(_MIXED), min_size=4, max_size=8, unique=True))
+@example([pt(-2), pt(-1), pt(0), INF, pt(1), pt(2)])
+@example([pt(-2), pt(W), pt(-I4), INF, pt(1 + I4), pt(3)])
+@example([pt(0), INF, pt(1), pt(-1), pt(I4), pt(-I4)])
+@example([pt(W), pt(W * W), pt(1), pt(0), pt(2)])
+def test_aut_of_lambda_equals_the_oracle_element_for_element(pts):
+    # the first two examples put infinity first off the base triple; in the
+    # last two, candidates send that point to infinity, where its
+    # unnormalized image is [x : 0]: members of the group in the third, and
+    # rejected ones in the fourth, which has no point at infinity
+    assert (aut_of_lambda(pts).elements
+            == sort_moebius(stabilizer_oracle(pts).elements))
+
+
+def test_order_powers_unnormalized_and_agrees_with_the_normalized_loop(
+        monkeypatch):
+    elements = [g for kind, n in (("cyclic", 7), ("dihedral", 5),
+                                  ("tetrahedral", None), ("octahedral", None),
+                                  ("icosahedral", None))
+                for g in standard_group(kind, n).elements]
+    infinite = [Moebius(1, 1, 0, 1), Moebius(2 * W, 0, 0, 1),
+                Moebius(1, I4, 1, 0)]
+    expected = [moebius_order_loop(g) for g in elements + infinite]
+
+    def no_inverse(self):
+        raise AssertionError("order() took an inverse")
+
+    monkeypatch.setattr(CycNum, "inverse", no_inverse)
+    assert [g.order() for g in elements + infinite] == expected
+    assert None not in expected[:len(elements)]
+    assert expected[len(elements):] == [None] * len(infinite)
